@@ -1,7 +1,9 @@
 // Hot-path throughput of the discrete-event substrate (events/sec and
 // packets/sec) on a leaf-spine scenario, plus a steady-state heap
 // allocation counter. Every MARS experiment replays millions of packets
-// through this loop, so these numbers bound experiment scale.
+// through this loop, so these numbers bound experiment scale. The
+// per-baseline variants attach one comparison system's collector and
+// report hops/sec, the collector's wall cost per packet-hop included.
 //
 // Run `bench/run_sim_hotpath.sh` to emit BENCH_sim_hotpath.json; the
 // committed file tracks the trajectory across PRs (baseline vs current).
@@ -11,9 +13,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
+#include "baselines/intsight.hpp"
+#include "baselines/spidermon.hpp"
+#include "baselines/syndb.hpp"
 #include "net/leaf_spine.hpp"
 #include "net/network.hpp"
 #include "obs/net_scrape.hpp"
@@ -208,11 +214,89 @@ void BM_LeafSpine_HotPath_Instrumented(benchmark::State& state) {
   registry.remove_gauges();
 }
 
+// ---- Leaf-spine replay with one baseline collector -----------------------
+// The same steady-state replay with a comparison system's data plane
+// attached to every switch. hops_per_sec counts packet-hops (egress
+// services, summed over every port), so 1e9 / hops_per_sec is the wall
+// cost per hop including the collector.
+
+template <typename MakeSystem>
+void leaf_spine_with_baseline(benchmark::State& state, MakeSystem make) {
+  sim::Simulator sim;
+  auto fabric = net::build_leaf_spine(
+      {.leaves = 8, .spines = 4, .leaf_spine_gbps = 10.0});
+  net::Network network(sim, fabric.topology);
+  auto system = make(network);
+  network.add_observer(*system);
+
+  workload::TrafficGenerator traffic(network, 42);
+  workload::BackgroundConfig bg;
+  bg.flows = 64;
+  bg.pps = 50'000.0;
+  traffic.add_background(bg, fabric.leaf, /*pods=*/1);
+  traffic.start();
+
+  sim.run(5 * sim::kMillisecond);
+
+  const auto hops = [&network] {
+    std::uint64_t total = 0;
+    for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
+      const net::Switch& node = network.node(sw);
+      for (net::PortId p = 0; p < node.port_count(); ++p) {
+        total += node.counters(p).tx_packets;
+      }
+    }
+    return total;
+  };
+  const std::uint64_t events0 = sim.events_executed();
+  const std::uint64_t hops0 = hops();
+  const std::uint64_t allocs0 = alloc_count();
+
+  for (auto _ : state) {
+    sim.run(sim.now() + sim::kMillisecond);
+  }
+
+  const auto events = static_cast<double>(sim.events_executed() - events0);
+  const auto allocs = static_cast<double>(alloc_count() - allocs0);
+  state.counters["events_per_sec"] =
+      benchmark::Counter(events, benchmark::Counter::kIsRate);
+  state.counters["hops_per_sec"] = benchmark::Counter(
+      static_cast<double>(hops() - hops0), benchmark::Counter::kIsRate);
+  state.counters["allocs_per_event"] = events > 0 ? allocs / events : 0.0;
+  state.counters["triggered"] = system->triggered() ? 1.0 : 0.0;
+}
+
+void BM_LeafSpine_HotPath_SpiderMon(benchmark::State& state) {
+  leaf_spine_with_baseline(state, [](const net::Network& network) {
+    // Trigger on the first hop: the steady state then measures the
+    // post-trigger path, where every arrival folds into the aggregates.
+    baselines::SpiderMonConfig config;
+    config.queue_delay_threshold = 0;
+    return std::make_unique<baselines::SpiderMon>(network.switch_count(),
+                                                  config);
+  });
+}
+
+void BM_LeafSpine_HotPath_IntSight(benchmark::State& state) {
+  leaf_spine_with_baseline(state, [](const net::Network&) {
+    return std::make_unique<baselines::IntSight>();
+  });
+}
+
+void BM_LeafSpine_HotPath_SyNDB(benchmark::State& state) {
+  leaf_spine_with_baseline(state, [](const net::Network&) {
+    return std::make_unique<baselines::SynDb>();
+  });
+}
+
 }  // namespace
 
 BENCHMARK(BM_EventQueue_SchedulePop)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK(BM_EventQueue_ScheduleCancel)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK(BM_LeafSpine_HotPath)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeafSpine_HotPath_Instrumented)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LeafSpine_HotPath_SpiderMon)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LeafSpine_HotPath_IntSight)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LeafSpine_HotPath_SyNDB)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -37,12 +37,19 @@ for b in raw['benchmarks']:
     for key in ('packets_per_sec', 'allocs_per_event', 'allocs_per_packet'):
         if key in b:
             entry[key] = round(b[key], 9)
+    if 'hops_per_sec' in b:
+        entry['ns_per_hop'] = round(1e9 / b['hops_per_sec'], 1)
+        entry['triggered'] = bool(b['triggered'])
     results[b['name']] = entry
 
 # The instrumented-but-unattached variant is tracked separately: its only
 # job is the pairwise ratio against the plain hot path from the SAME run
 # (the zero-overhead-when-disabled guarantee, bound: >= 0.97).
 instrumented = results.pop('BM_LeafSpine_HotPath_Instrumented', None)
+# The per-baseline variants (collector cost per packet-hop) go to their own
+# section, next to the recorded parent-commit measurement there.
+baseline_runs = {name: results.pop(name) for name in list(results)
+                 if 'ns_per_hop' in results[name]}
 
 # Merge into the output file if it exists; otherwise seed a new file from
 # the committed record so the baseline (and thus the speedup) carries over.
@@ -71,6 +78,9 @@ if instrumented and cur:
     }
     doc['instrumented_unattached_ratio'] = round(
         instrumented['events_per_sec'] / cur['events_per_sec'], 3)
+
+if baseline_runs:
+    doc.setdefault('baselines', {})['current'] = {'results': baseline_runs}
 
 json.dump(doc, open(out_path, 'w'), indent=2)
 print(f"wrote {out_path}")

@@ -24,7 +24,8 @@ void IntSight::on_ingress(net::SwitchContext& ctx, net::Packet& pkt) {
 void IntSight::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
                          net::PortId /*out*/, sim::Time hop_latency) {
   overheads_.telemetry_bytes += config_.header_bytes;
-  if (hop_latency > config_.contention_threshold && ctx.id < 64) {
+  if (hop_latency > config_.contention_threshold &&
+      ctx.id < kMaxSwitches) {
     carried_mask_[pkt.id] |= (1ull << ctx.id);
   }
 }
@@ -96,7 +97,7 @@ rca::CulpritList IntSight::diagnose() {
   std::map<net::SwitchId, double> contention_score;
   std::map<net::FlowId, double> drop_score;
   for (const auto& r : reports_) {
-    for (net::SwitchId sw = 0; sw < 64; ++sw) {
+    for (net::SwitchId sw = 0; sw < kMaxSwitches; ++sw) {
       if (r.contention_mask & (1ull << sw)) {
         contention_score[sw] += r.violations;
       }

@@ -37,6 +37,10 @@ struct IntSightConfig {
 
 class IntSight final : public BaselineSystem {
  public:
+  /// The contention bitmap has one bit per switch id, so switch ids must
+  /// be below this; validate_scenario rejects larger fabrics.
+  static constexpr std::size_t kMaxSwitches = 64;
+
   explicit IntSight(IntSightConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "IntSight"; }

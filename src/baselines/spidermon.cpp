@@ -1,39 +1,69 @@
 #include "baselines/spidermon.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <tuple>
 
 #include "sim/simulator.hpp"
 
 namespace mars::baselines {
-namespace {
-
-std::uint64_t queue_key(net::SwitchId sw, net::PortId port) {
-  return (static_cast<std::uint64_t>(sw) << 16) | port;
-}
-
-}  // namespace
 
 SpiderMon::SpiderMon(std::size_t switch_count, SpiderMonConfig config)
-    : config_(config), switch_count_(switch_count) {}
+    : config_(config),
+      switch_count_(switch_count),
+      queues_(switch_count),
+      in_degree_(switch_count * switch_count),
+      out_degree_(switch_count * switch_count),
+      switch_weight_(switch_count) {}
+
+std::deque<SpiderMon::Run>& SpiderMon::queue(net::SwitchId sw,
+                                             net::PortId port) {
+  auto& ports = queues_[sw];
+  if (port >= ports.size()) ports.resize(port + std::size_t{1});
+  return ports[port];
+}
+
+void SpiderMon::fold(const RunEdge& edge) {
+  in_degree_[edge.holder] += edge.count;
+  out_degree_[edge.waiter] += edge.count;
+  switch_weight_[edge.at] += edge.count;
+  // Mixed-radix key (at, waiter, holder); exact while switch_count^5
+  // fits in 64 bits (switch_count < 7000).
+  const std::uint64_t flows = in_degree_.size();
+  triples_.insert((edge.at * flows + edge.waiter) * flows + edge.holder);
+}
 
 void SpiderMon::on_enqueue(net::SwitchContext& ctx, net::Packet& pkt,
                            net::PortId out, std::uint32_t /*queue_depth*/) {
-  auto& queue = queues_[queue_key(ctx.id, out)];
+  auto& runs = queue(ctx.id, out);
+  const sim::Time now = ctx.sim.now();
+  const std::uint32_t waiter = flow_index(pkt.flow);
   // The arriving packet waits for everything already queued (including its
   // own flow's packets — the self-burst blind spot).
-  for (const net::FlowId& holder : queue) {
-    edges_.push_back(WaitForEdge{ctx.sim.now(), pkt.flow, holder, ctx.id});
+  for (const Run& run : runs) {
+    const RunEdge edge{now, waiter, run.flow, ctx.id, run.count};
+    if (triggered_) {
+      fold(edge);
+    } else {
+      pending_.push_back(edge);
+    }
   }
-  queue.push_back(pkt.flow);
+  if (!triggered_) {
+    // The trigger, when it comes, is at or after now, so an edge older
+    // than now - window can never fall inside its window.
+    while (!pending_.empty() && pending_.front().when < now - config_.window) {
+      pending_.pop_front();
+    }
+  }
+  if (!runs.empty() && runs.back().flow == waiter) {
+    ++runs.back().count;
+  } else {
+    runs.push_back(Run{waiter, 1});
+  }
 }
 
 void SpiderMon::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
                           net::PortId out, sim::Time hop_latency) {
-  auto& queue = queues_[queue_key(ctx.id, out)];
-  if (!queue.empty()) queue.pop_front();
+  auto& runs = queue(ctx.id, out);
+  if (!runs.empty() && --runs.front().count == 0) runs.pop_front();
   overheads_.telemetry_bytes += config_.header_bytes;
 
   // Accumulate queueing delay into the packet's in-band header.
@@ -42,6 +72,11 @@ void SpiderMon::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
   if (!triggered_ && carried > config_.queue_delay_threshold) {
     triggered_ = true;
     trigger_time_ = ctx.sim.now();
+    const sim::Time from = trigger_time_ - config_.window;
+    for (const RunEdge& edge : pending_) {
+      if (edge.when >= from) fold(edge);
+    }
+    std::deque<RunEdge>().swap(pending_);
   }
 }
 
@@ -57,38 +92,31 @@ void SpiderMon::on_drop(net::SwitchContext& /*ctx*/, const net::Packet& pkt,
 
 rca::CulpritList SpiderMon::diagnose() {
   if (!triggered_) return {};  // nothing to collect: it never noticed
-  const sim::Time from = trigger_time_ - config_.window;
 
-  // Wait-For Graph over the problem window.
-  std::map<net::FlowId, std::int64_t> in_degree, out_degree;
-  std::map<net::SwitchId, std::int64_t> switch_weight;
-  for (const auto& e : edges_) {
-    if (e.when < from) continue;
-    ++in_degree[e.holder];
-    ++out_degree[e.waiter];
-    ++switch_weight[e.at];
-  }
-
+  // Candidates in ascending flow, then switch, order: the sort below is
+  // not stable, so this order is part of the ranked output.
   rca::CulpritList out;
   // Flow culprits: other flows wait for the culprit, so it has a large
   // indegree and small outdegree.
-  for (const auto& [flow, in] : in_degree) {
-    const std::int64_t score = in - out_degree[flow];
+  for (std::size_t f = 0; f < in_degree_.size(); ++f) {
+    const std::int64_t score = in_degree_[f] - out_degree_[f];
     if (score <= 0) continue;
     rca::Culprit c;
     c.level = rca::CulpritLevel::kFlow;
-    c.flow = flow;
+    c.flow = {static_cast<net::SwitchId>(f / switch_count_),
+              static_cast<net::SwitchId>(f % switch_count_)};
     c.cause = rca::CauseKind::kMicroBurst;
     c.score = static_cast<double>(score);
     out.push_back(std::move(c));
   }
   // Switch culprits: where the wait-for relations concentrate.
-  for (const auto& [sw, weight] : switch_weight) {
+  for (std::size_t sw = 0; sw < switch_weight_.size(); ++sw) {
+    if (switch_weight_[sw] == 0) continue;
     rca::Culprit c;
     c.level = rca::CulpritLevel::kSwitch;
-    c.location = {sw};
+    c.location = {static_cast<net::SwitchId>(sw)};
     c.cause = rca::CauseKind::kProcessRateDecrease;
-    c.score = static_cast<double>(weight);
+    c.score = static_cast<double>(switch_weight_[sw]);
     out.push_back(std::move(c));
   }
   std::sort(out.begin(), out.end(),
@@ -105,12 +133,7 @@ OverheadReport SpiderMon::overheads() const {
     // On trigger, ALL switches upload their wait-for state. A switch
     // aggregates repeat edges into counters, so the upload is one record
     // per distinct (switch, waiter, holder) triple in the window.
-    const sim::Time from = trigger_time_ - config_.window;
-    std::set<std::tuple<net::SwitchId, net::FlowId, net::FlowId>> distinct;
-    for (const auto& e : edges_) {
-      if (e.when >= from) distinct.emplace(e.at, e.waiter, e.holder);
-    }
-    report.diagnosis_bytes += distinct.size() * config_.record_bytes;
+    report.diagnosis_bytes += triples_.size() * config_.record_bytes;
   }
   return report;
 }

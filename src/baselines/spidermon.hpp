@@ -14,9 +14,15 @@
 // Reproduced limitations: it senses only queueing anomalies, so delay and
 // drop faults never trigger it; and a flow that bursts against itself has
 // indegree ≈ outdegree, hiding the culprit.
+//
+// The wait-for graph is streamed, not logged: each queue is mirrored as
+// runs of (flow, count), an arrival adds one weighted edge per run, and
+// only the edges the diagnosis can still count are kept (see DESIGN.md
+// "SpiderMon streaming wait-for graph").
 
 #include <deque>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "baselines/baseline.hpp"
@@ -56,23 +62,45 @@ class SpiderMon final : public BaselineSystem {
                net::PortId out) override;
 
  private:
-  struct WaitForEdge {
+  /// `count` consecutive queued packets of one flow (dense flow index).
+  struct Run {
+    std::uint32_t flow;
+    std::uint32_t count;
+  };
+  /// `count` wait-for edges waiter -> holder at switch `at`, all made at
+  /// `when` by one arrival queueing behind one run.
+  struct RunEdge {
     sim::Time when;
-    net::FlowId waiter;
-    net::FlowId holder;
+    std::uint32_t waiter;
+    std::uint32_t holder;
     net::SwitchId at;
+    std::uint32_t count;
   };
 
+  [[nodiscard]] std::uint32_t flow_index(const net::FlowId& flow) const {
+    return flow.source * static_cast<std::uint32_t>(switch_count_) +
+           flow.sink;
+  }
+  [[nodiscard]] std::deque<Run>& queue(net::SwitchId sw, net::PortId port);
+  /// Add a run-edge to the trigger window's aggregates.
+  void fold(const RunEdge& edge);
+
   SpiderMonConfig config_;
-  /// FIFO mirror of each (switch, port) queue, by flow.
-  std::unordered_map<std::uint64_t, std::deque<net::FlowId>> queues_;
+  std::size_t switch_count_;
+  /// Run-length FIFO mirror of each queue, indexed [switch][port].
+  std::vector<std::vector<std::deque<Run>>> queues_;
   /// Cumulative queueing delay carried in each in-flight packet's header.
   std::unordered_map<std::uint64_t, sim::Time> carried_delay_;
-  std::vector<WaitForEdge> edges_;
+  /// Before the trigger: run-edges no older than `window`, oldest first.
+  std::deque<RunEdge> pending_;
+  /// After the trigger: wait-for degrees over edges with
+  /// when >= trigger_time - window, by dense flow index and by switch.
+  std::vector<std::int64_t> in_degree_, out_degree_, switch_weight_;
+  /// Distinct (switch, waiter, holder) triples in the window, packed.
+  std::unordered_set<std::uint64_t> triples_;
   OverheadReport overheads_;
   bool triggered_ = false;
   sim::Time trigger_time_ = 0;
-  std::size_t switch_count_;
 };
 
 }  // namespace mars::baselines

@@ -51,6 +51,15 @@ ScenarioConfig default_scenario(faults::FaultKind fault, std::uint64_t seed) {
 std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
   std::vector<std::string> errors =
       net::TopologyRegistry::instance().validate(config.topology);
+  const bool topology_valid = errors.empty();
+  // Built at most once, by the first check that needs the fabric.
+  std::optional<net::BuiltFabric> fabric;
+  const auto built_fabric = [&]() -> const net::BuiltFabric& {
+    if (!fabric) {
+      fabric = net::TopologyRegistry::instance().build(config.topology);
+    }
+    return *fabric;
+  };
   if (config.duration <= 0) {
     errors.push_back("scenario duration must be positive");
   }
@@ -190,6 +199,17 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
         break;
       }
     }
+    if (name == "intsight" && topology_valid &&
+        built_fabric().topology.switch_count() >
+            baselines::IntSight::kMaxSwitches) {
+      errors.push_back(
+          "systems[" + std::to_string(i) + "] 'intsight' marks contention "
+          "in a " + std::to_string(baselines::IntSight::kMaxSwitches) +
+          "-bit per-switch bitmap, so it supports at most " +
+          std::to_string(baselines::IntSight::kMaxSwitches) +
+          " switches (topology '" + config.topology.name + "' has " +
+          std::to_string(built_fabric().topology.switch_count()) + ")");
+    }
   }
   if (config.sim.shards < 0 || config.sim.shards > 64) {
     errors.push_back("sim.shards must be in [1, 64] (got " +
@@ -232,10 +252,8 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
         break;
       }
     }
-    if (config.sim.shards >= 2 &&
-        net::TopologyRegistry::instance().validate(config.topology).empty()) {
-      const net::BuiltFabric fabric =
-          net::TopologyRegistry::instance().build(config.topology);
+    if (config.sim.shards >= 2 && topology_valid) {
+      const net::BuiltFabric& fabric = built_fabric();
       const int capacity = net::partition_capacity(fabric.topology);
       if (config.sim.shards > capacity) {
         errors.push_back(
@@ -263,16 +281,13 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
                      std::to_string(pid.width_bits) + ")");
   } else if (std::find(config.systems.begin(), config.systems.end(),
                        "mars") != config.systems.end() &&
-             net::TopologyRegistry::instance()
-                 .validate(config.topology)
-                 .empty()) {
+             topology_valid) {
     // An unresolved PathID collision decompresses diagnosis reports to the
     // wrong switch sequence, silently corrupting localization — so a
     // registry that cannot resolve every collision is a configuration
     // error, not a runtime condition. The build is cached by (topology
     // structure, PathIdConfig); deployment reuses this exact registry.
-    const net::BuiltFabric fabric =
-        net::TopologyRegistry::instance().build(config.topology);
+    const net::BuiltFabric& fabric = built_fabric();
     const net::RoutingTable routing(fabric.topology);
     const auto registry = control::PathRegistryCache::instance().get_or_build(
         fabric.topology, routing, pid);

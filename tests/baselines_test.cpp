@@ -4,8 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "mars/scenario.hpp"
 #include "net/fat_tree.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace mars::baselines {
 namespace {
@@ -77,6 +86,355 @@ TEST(SpiderMonTest, NoTriggerOnPureDelayFault) {
   f.traffic(flow, 5, 100, 5_ms);
   f.sim.run();
   EXPECT_FALSE(sm.triggered());  // the paper's "-" cell
+}
+
+// ---- SpiderMon: recorded outcomes and the per-edge reference ------------
+
+void expect_same_culprits(const rca::CulpritList& got,
+                          const rca::CulpritList& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("culprit #" + std::to_string(i + 1));
+    EXPECT_EQ(got[i].level, want[i].level);
+    EXPECT_EQ(got[i].location, want[i].location);
+    EXPECT_EQ(got[i].port, want[i].port);
+    EXPECT_EQ(got[i].flow, want[i].flow);
+    EXPECT_EQ(got[i].cause, want[i].cause);
+    EXPECT_EQ(got[i].score, want[i].score);
+  }
+}
+
+rca::Culprit sw(net::SwitchId id, double score) {
+  rca::Culprit c;
+  c.level = rca::CulpritLevel::kSwitch;
+  c.location = {id};
+  c.cause = rca::CauseKind::kProcessRateDecrease;
+  c.score = score;
+  return c;
+}
+
+rca::Culprit flow(net::SwitchId source, net::SwitchId sink, double score) {
+  rca::Culprit c;
+  c.level = rca::CulpritLevel::kFlow;
+  c.flow = {source, sink};
+  c.cause = rca::CauseKind::kMicroBurst;
+  c.score = score;
+  return c;
+}
+
+struct SpiderMonGolden {
+  faults::FaultKind fault;
+  std::uint64_t seed;
+  bool triggered;
+  std::uint64_t telemetry_bytes;
+  std::uint64_t diagnosis_bytes;
+  rca::CulpritList culprits;
+};
+
+// SpiderMon's complete outcome on Table-1 trials (default_scenario, all
+// four systems deployed), recorded from the per-edge wait-for log that
+// the streaming graph replaced. Equal scores (flow <7,19> and switch 15
+// below) pin the candidate order fed to the ranking sort as well.
+TEST(SpiderMonTest, Table1TrialsMatchRecordedOutcomes) {
+  using faults::FaultKind;
+  const SpiderMonGolden goldens[] = {
+    {FaultKind::kMicroBurst, 1000, true, 694196, 2028,
+     {sw(14, 3030101), sw(8, 1643747), flow(14, 11, 370763), sw(9, 8743),
+      sw(6, 7305), sw(5, 5646), sw(12, 5440), sw(7, 4280), sw(16, 2779),
+      sw(13, 2669), sw(15, 2396), sw(10, 2222), sw(1, 2162), sw(2, 2159),
+      sw(3, 1603), sw(11, 1472), sw(19, 1418), sw(17, 1210), sw(18, 1136),
+      sw(0, 673)}},
+    {FaultKind::kEcmpImbalance, 1037, true, 983432, 3576,
+     {sw(13, 140306), sw(17, 12416), sw(9, 12214), sw(7, 10309), sw(18, 9128),
+      sw(10, 8081), sw(19, 7831), sw(5, 6906), sw(4, 6472), sw(6, 5712),
+      sw(15, 4916), sw(11, 4271), sw(12, 4139), sw(14, 3993), sw(8, 3810),
+      sw(2, 2989), sw(16, 2478), sw(0, 2119), sw(3, 1804), sw(1, 1308)}},
+    {FaultKind::kProcessRateDecrease, 1074, true, 625056, 2400,
+     {sw(7, 1201446), sw(13, 4781), sw(17, 4416), flow(7, 19, 3098),
+      sw(15, 3098), sw(14, 2827), sw(4, 2621), sw(9, 2162), sw(5, 2044),
+      sw(8, 1931), sw(12, 1816), sw(18, 1467), sw(10, 1312), sw(11, 1208),
+      sw(19, 1169), sw(6, 1088), sw(0, 1064), sw(2, 725), sw(1, 689),
+      sw(3, 623)}},
+    {FaultKind::kDrop, 1000, false, 664980, 0, {}},  // never triggers
+  };
+  for (const auto& g : goldens) {
+    SCOPED_TRACE(std::string(faults::to_string(g.fault)) + " seed " +
+                 std::to_string(g.seed));
+    const ScenarioResult result =
+        run_scenario(default_scenario(g.fault, g.seed));
+    const SystemOutcome& outcome = result.outcome("spidermon");
+    EXPECT_EQ(outcome.triggered, g.triggered);
+    EXPECT_EQ(outcome.telemetry_bytes, g.telemetry_bytes);
+    EXPECT_EQ(outcome.diagnosis_bytes, g.diagnosis_bytes);
+    expect_same_culprits(outcome.culprits, g.culprits);
+  }
+}
+
+/// Reference SpiderMon: logs one wait-for edge per queued packet and
+/// rescans the whole log on every query. Same trigger, window and ranking
+/// as SpiderMon; the streaming implementation must agree with it exactly.
+class EdgeLogSpiderMon {
+ public:
+  explicit EdgeLogSpiderMon(SpiderMonConfig config) : config_(config) {}
+
+  void on_enqueue(net::SwitchContext& ctx, net::Packet& pkt,
+                  net::PortId out) {
+    auto& queue = queues_[{ctx.id, out}];
+    for (const net::FlowId& holder : queue) {
+      edges_.push_back(Edge{ctx.sim.now(), pkt.flow, holder, ctx.id});
+    }
+    queue.push_back(pkt.flow);
+  }
+
+  void on_egress(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
+                 sim::Time hop_latency) {
+    auto& queue = queues_[{ctx.id, out}];
+    if (!queue.empty()) queue.erase(queue.begin());
+    telemetry_bytes_ += config_.header_bytes;
+    sim::Time& carried = carried_delay_[pkt.id];
+    carried += hop_latency;
+    if (!triggered_ && carried > config_.queue_delay_threshold) {
+      triggered_ = true;
+      trigger_time_ = ctx.sim.now();
+    }
+  }
+
+  void forget(const net::Packet& pkt) { carried_delay_.erase(pkt.id); }
+
+  [[nodiscard]] rca::CulpritList diagnose() const {
+    if (!triggered_) return {};
+    const sim::Time from = trigger_time_ - config_.window;
+    std::map<net::FlowId, std::int64_t> in_degree, out_degree;
+    std::map<net::SwitchId, std::int64_t> switch_weight;
+    for (const Edge& e : edges_) {
+      if (e.when < from) continue;
+      ++in_degree[e.holder];
+      ++out_degree[e.waiter];
+      ++switch_weight[e.at];
+    }
+    rca::CulpritList out;
+    for (const auto& [f, in] : in_degree) {
+      const std::int64_t score = in - out_degree[f];
+      if (score > 0) out.push_back(flow(f.source, f.sink, score));
+    }
+    for (const auto& [id, weight] : switch_weight) {
+      out.push_back(sw(id, static_cast<double>(weight)));
+    }
+    std::sort(out.begin(), out.end(),
+              [](const rca::Culprit& a, const rca::Culprit& b) {
+                return a.score > b.score;
+              });
+    if (out.size() > config_.max_culprits) out.resize(config_.max_culprits);
+    return out;
+  }
+
+  [[nodiscard]] OverheadReport overheads() const {
+    OverheadReport report;
+    report.telemetry_bytes = telemetry_bytes_;
+    if (triggered_) {
+      const sim::Time from = trigger_time_ - config_.window;
+      std::set<std::tuple<net::SwitchId, net::FlowId, net::FlowId>> distinct;
+      for (const Edge& e : edges_) {
+        if (e.when >= from) distinct.emplace(e.at, e.waiter, e.holder);
+      }
+      report.diagnosis_bytes = distinct.size() * config_.record_bytes;
+    }
+    return report;
+  }
+
+  [[nodiscard]] bool triggered() const { return triggered_; }
+
+ private:
+  struct Edge {
+    sim::Time when;
+    net::FlowId waiter;
+    net::FlowId holder;
+    net::SwitchId at;
+  };
+
+  SpiderMonConfig config_;
+  std::map<std::pair<net::SwitchId, net::PortId>, std::vector<net::FlowId>>
+      queues_;
+  std::map<std::uint64_t, sim::Time> carried_delay_;
+  std::vector<Edge> edges_;
+  std::uint64_t telemetry_bytes_ = 0;
+  bool triggered_ = false;
+  sim::Time trigger_time_ = 0;
+};
+
+/// One observer callback, or a query of both implementations.
+struct Op {
+  enum class Kind { kEnqueue, kEgress, kDeliver, kDrop, kCheck };
+  Kind kind;
+  sim::Time at;
+  net::SwitchId sw = 0;
+  net::PortId port = 0;
+  net::FlowId flow{};
+  std::uint64_t packet = 0;
+  sim::Time latency = 0;
+};
+
+/// SpiderMon's state after a replay.
+struct Replayed {
+  bool triggered = false;
+  sim::Time trigger_time = 0;
+  rca::CulpritList culprits;
+  OverheadReport overheads;
+};
+
+/// Replays `ops` into SpiderMon and the reference side by side and
+/// compares their diagnosis and overheads at every kCheck and at the end.
+Replayed replay_both(const std::vector<Op>& ops,
+                     const SpiderMonConfig& config) {
+  Fixture f;
+  SpiderMon streamed(f.ft.topology.switch_count(), config);
+  EdgeLogSpiderMon reference(config);
+  const auto compare = [&] {
+    expect_same_culprits(streamed.diagnose(), reference.diagnose());
+    EXPECT_EQ(streamed.overheads().telemetry_bytes,
+              reference.overheads().telemetry_bytes);
+    EXPECT_EQ(streamed.overheads().diagnosis_bytes,
+              reference.overheads().diagnosis_bytes);
+    EXPECT_EQ(streamed.triggered(), reference.triggered());
+  };
+  for (const Op& op : ops) {
+    f.sim.schedule_at(op.at, [&f, &streamed, &reference, &compare, &op] {
+      net::SwitchContext ctx{f.sim, f.net.node(op.sw), op.sw,
+                             f.ft.topology.layer(op.sw)};
+      net::Packet pkt;
+      pkt.id = op.packet;
+      pkt.flow = op.flow;
+      switch (op.kind) {
+        case Op::Kind::kEnqueue:
+          streamed.on_enqueue(ctx, pkt, op.port, 0);
+          reference.on_enqueue(ctx, pkt, op.port);
+          break;
+        case Op::Kind::kEgress:
+          streamed.on_egress(ctx, pkt, op.port, op.latency);
+          reference.on_egress(ctx, pkt, op.port, op.latency);
+          break;
+        case Op::Kind::kDeliver:
+          streamed.on_deliver(ctx, pkt);
+          reference.forget(pkt);
+          break;
+        case Op::Kind::kDrop:
+          streamed.on_drop(ctx, pkt, op.port);
+          reference.forget(pkt);
+          break;
+        case Op::Kind::kCheck:
+          compare();
+          break;
+      }
+    });
+  }
+  f.sim.run();
+  compare();
+  compare();  // queries are read-only: a second call must agree too
+  return Replayed{streamed.triggered(), streamed.trigger_time(),
+                  streamed.diagnose(), streamed.overheads()};
+}
+
+Op enqueue(sim::Time at, net::SwitchId sw, net::PortId port,
+           net::FlowId flow) {
+  return Op{.kind = Op::Kind::kEnqueue, .at = at, .sw = sw, .port = port,
+            .flow = flow};
+}
+
+Op egress(sim::Time at, net::SwitchId sw, net::PortId port,
+          std::uint64_t packet, sim::Time latency) {
+  return Op{.kind = Op::Kind::kEgress, .at = at, .sw = sw, .port = port,
+            .packet = packet, .latency = latency};
+}
+
+TEST(SpiderMonDifferentialTest, RandomSequencesMatchEdgeLog) {
+  int triggered_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    SpiderMonConfig config;
+    config.window = rng.range(1, 40) * sim::kMillisecond;
+    config.queue_delay_threshold = rng.range(2, 60) * sim::kMillisecond;
+    config.max_culprits = rng.range(1, 30);
+    std::vector<Op> ops;
+    sim::Time now = 0;
+    for (int i = 0; i < 1500; ++i) {
+      // Many ops share a timestamp; the rest step by up to 3 ms.
+      if (rng.chance(0.6)) now += rng.range(0, 3) * sim::kMillisecond / 2;
+      Op op{.kind = Op::Kind::kCheck, .at = now};
+      op.sw = static_cast<net::SwitchId>(rng.below(3));
+      op.port = static_cast<net::PortId>(rng.below(3));  // several per switch
+      op.flow = {static_cast<net::SwitchId>(rng.below(5)),
+                 static_cast<net::SwitchId>(5 + rng.below(3))};
+      op.packet = rng.below(24);
+      op.latency = rng.range(0, 4) * sim::kMillisecond;
+      const double u = rng.uniform();
+      op.kind = u < 0.48   ? Op::Kind::kEnqueue
+                : u < 0.90 ? Op::Kind::kEgress
+                : u < 0.95 ? Op::Kind::kDeliver
+                : u < 0.99 ? Op::Kind::kDrop
+                           : Op::Kind::kCheck;
+      ops.push_back(op);
+    }
+    if (replay_both(ops, config).triggered) ++triggered_runs;
+  }
+  // The sweep must exercise both sides of the trigger.
+  EXPECT_GT(triggered_runs, 10);
+  EXPECT_LT(triggered_runs, 60);
+}
+
+TEST(SpiderMonDifferentialTest, EdgeExactlyAtWindowStartCounts) {
+  SpiderMonConfig config;
+  config.window = 10_ms;
+  config.queue_delay_threshold = 5_ms;
+  const net::FlowId a{0, 5}, b{1, 6}, c{2, 7};
+  const std::vector<Op> ops = {
+      // Switch 1: b waits for a 1 ns before the window opens.
+      enqueue(4'999'999, 1, 0, a), enqueue(4'999'999, 1, 0, b),
+      // Switch 2, two ports: c waits for a exactly at the window start.
+      enqueue(5_ms, 2, 0, a), enqueue(5_ms, 2, 0, c),
+      enqueue(5_ms, 2, 1, b), enqueue(5_ms, 2, 1, b),
+      // An arrival at the trigger instant prunes up to the boundary.
+      enqueue(15_ms, 0, 0, a),
+      egress(15_ms, 0, 2, 99, 6_ms),  // triggers: window = [5 ms, ...)
+  };
+  const Replayed r = replay_both(ops, config);
+  ASSERT_TRUE(r.triggered);
+  EXPECT_EQ(r.trigger_time, 15_ms);
+  // Counted: c->a and b->b on switch 2. Not counted: b->a on switch 1.
+  expect_same_culprits(r.culprits, {sw(2, 2), flow(0, 5, 1)});
+  EXPECT_EQ(r.overheads.diagnosis_bytes, 2u * config.record_bytes);
+}
+
+TEST(SpiderMonDifferentialTest, TriggerBeforeWindowElapsed) {
+  SpiderMonConfig config;  // 1 s window, trigger after 10 ms
+  const net::FlowId a{0, 5}, b{1, 6};
+  std::vector<Op> ops;
+  for (int i = 0; i < 8; ++i) {
+    const sim::Time at = i * 1_ms;
+    ops.push_back(enqueue(at, 0, i % 2, i % 3 == 0 ? a : b));
+    ops.push_back(enqueue(at, 0, i % 2, a));
+    if (i % 2 == 1) ops.push_back(egress(at, 0, 0, i, 1_ms));
+  }
+  ops.push_back(egress(10_ms, 1, 0, 7, 6_ms));
+  ops.push_back(enqueue(12_ms, 0, 1, b));  // folded directly after it
+  EXPECT_TRUE(replay_both(ops, config).triggered);
+}
+
+TEST(SpiderMonDifferentialTest, RunThatNeverTriggers) {
+  SpiderMonConfig config;
+  config.window = 2_ms;
+  config.queue_delay_threshold = 1_s;
+  std::vector<Op> ops;
+  for (int i = 0; i < 200; ++i) {
+    const auto sw_id = static_cast<net::SwitchId>(i % 3);
+    ops.push_back(enqueue(i * 100_us, sw_id, 0,
+                          {static_cast<net::SwitchId>(i % 4), 9}));
+    if (i % 3 == 0) ops.push_back(egress(i * 100_us, sw_id, 0, i, 1_ms));
+  }
+  const Replayed r = replay_both(ops, config);
+  EXPECT_FALSE(r.triggered);
+  EXPECT_TRUE(r.culprits.empty());
+  EXPECT_EQ(r.overheads.diagnosis_bytes, 0u);
 }
 
 TEST(IntSightTest, SloViolationProducesFlowReports) {

@@ -645,6 +645,27 @@ TEST(ScenarioSpecTest, RcaUnknownKeyNamesItsPath) {
   }
 }
 
+TEST(ScenarioSpecTest, IntSightIsRejectedPastSixtyFourSwitches) {
+  // A k=8 fat-tree has 80 switches; IntSight's per-switch contention
+  // bitmap has 64 bits, so ids 64..79 could never be marked.
+  ScenarioSpec spec;
+  spec.k = 8;
+  spec.systems = std::vector<std::string>{"spidermon", "intsight"};
+  const auto errors = spec.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors.front().find("systems[1] 'intsight'"), std::string::npos)
+      << errors.front();
+  EXPECT_NE(errors.front().find("has 80"), std::string::npos)
+      << errors.front();
+  EXPECT_THROW((void)run_scenario(spec.to_config()), std::invalid_argument);
+
+  spec.systems = std::vector<std::string>{"spidermon"};
+  EXPECT_TRUE(spec.validate().empty());
+  spec.k = 4;  // 20 switches
+  spec.systems = std::vector<std::string>{"intsight"};
+  EXPECT_TRUE(spec.validate().empty());
+}
+
 TEST(ScenarioSpecTest, ShardedRunsRequirePostcardBackend) {
   ScenarioSpec spec;
   spec.sim.shards = 2;
