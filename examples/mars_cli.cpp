@@ -36,9 +36,11 @@
 //                             0 if conflict-free / 1 if not (no simulation)
 //     --json                  machine-readable result summary
 //
-// Unknown fault / topology / system names exit nonzero with the list of
-// known names; so does an invalid scenario (every validation error is
-// printed).
+// Scenario flags are written into a ScenarioSpec and lowered with
+// ScenarioSpec::to_config, so a flag and the equivalent spec field run the
+// same trial. Unknown fault / topology / system names exit nonzero with the
+// list of known names; so does an invalid scenario (every validation error
+// is printed).
 
 #include <cstdio>
 #include <cstdlib>
@@ -76,37 +78,6 @@ using namespace mars;
                "[--path-id-hash NAME] [--path-id-bits N] [--path-audit] "
                "[--json]\n",
                argv0);
-  std::exit(2);
-}
-
-faults::FaultKind parse_fault(const std::string& arg) {
-  const auto kind = faults::kind_from_name(arg);
-  if (!kind) {
-    std::fprintf(stderr, "unknown fault '%s' (known: %s)\n", arg.c_str(),
-                 faults::known_kind_names());
-    std::exit(2);
-  }
-  return *kind;
-}
-
-telemetry::BackendKind parse_backend(const std::string& arg) {
-  const auto kind = telemetry::backend_from_name(arg);
-  if (kind) return *kind;
-  std::string names;
-  for (const auto& name : telemetry::known_backend_names()) {
-    if (!names.empty()) names += ", ";
-    names += name;
-  }
-  const std::string hint = telemetry::suggest_backend(arg);
-  if (hint.empty()) {
-    std::fprintf(stderr, "unknown telemetry backend '%s' (known: %s)\n",
-                 arg.c_str(), names.c_str());
-  } else {
-    std::fprintf(stderr,
-                 "unknown telemetry backend '%s' (known: %s); did you mean "
-                 "'%s'?\n",
-                 arg.c_str(), names.c_str(), hint.c_str());
-  }
   std::exit(2);
 }
 
@@ -184,20 +155,18 @@ bool open_out(std::ofstream& out, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<faults::FaultKind> fault;
+  // Scenario flags, written into the spec once --scenario (if any) is read.
+  std::optional<std::string> fault, topology, backend, path_id_hash,
+      log_level;
   std::optional<std::uint64_t> seed;
   std::optional<int> k, flows, leaves, spines;
   std::optional<double> pps, duration_s, fault_at_s;
-  std::optional<std::string> topology;
   std::optional<std::vector<std::string>> systems;
-  std::optional<telemetry::BackendKind> backend;
+  std::optional<std::uint32_t> path_id_bits;
   std::string scenario_file;
   bool baselines = true, json = false;
   std::string trace_out, metrics_out, spans_out;
   std::string log_out, provenance_out, flight_out;
-  std::optional<obs::LogLevel> log_level;
-  std::optional<telemetry::HashKind> path_id_hash;
-  std::optional<std::uint32_t> path_id_bits;
   bool path_audit = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -209,7 +178,7 @@ int main(int argc, char** argv) {
     if (arg == "--scenario") {
       scenario_file = next();
     } else if (arg == "--fault") {
-      fault = parse_fault(next());
+      fault = next();
     } else if (arg == "--seed") {
       seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--topology") {
@@ -223,7 +192,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--systems") {
       systems = split_csv(next());
     } else if (arg == "--backend") {
-      backend = parse_backend(next());
+      backend = next();
     } else if (arg == "--flows") {
       flows = std::atoi(next());
     } else if (arg == "--pps") {
@@ -258,28 +227,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--log-out") {
       log_out = next();
     } else if (arg == "--log-level") {
-      const std::string name = next();
-      log_level = obs::level_from_name(name);
-      if (!log_level) {
-        std::fprintf(stderr,
-                     "unknown log level '%s' (known: debug, info, warn, "
-                     "error)\n",
-                     name.c_str());
-        return 2;
-      }
+      log_level = next();
     } else if (arg == "--provenance-out") {
       provenance_out = next();
     } else if (arg == "--flight-out") {
       flight_out = next();
     } else if (arg == "--path-id-hash") {
-      const std::string name = next();
-      path_id_hash = telemetry::hash_from_name(name);
-      if (!path_id_hash) {
-        std::fprintf(stderr,
-                     "unknown path_id hash '%s' (known: crc16, crc32)\n",
-                     name.c_str());
-        return 2;
-      }
+      path_id_hash = next();
     } else if (arg == "--path-id-bits") {
       path_id_bits = static_cast<std::uint32_t>(std::atoi(next()));
     } else if (arg == "--path-audit") {
@@ -291,55 +245,51 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Flags override the spec. Without --scenario the spec is the minimal
+  // one-fault spec, which lowers to exactly default_scenario(rate, seed).
+  ScenarioSpec spec;
   ScenarioConfig cfg;
   try {
     if (!scenario_file.empty()) {
-      cfg = load_scenario_spec(scenario_file).to_config();
+      spec = load_scenario_spec(scenario_file);
     } else {
-      cfg = default_scenario(
-          fault.value_or(faults::FaultKind::kProcessRateDecrease),
-          seed.value_or(1));
+      spec.faults.emplace_back();
     }
+    if (fault || fault_at_s) {
+      // A flag-specified fault replaces the spec's whole schedule.
+      ScenarioSpec::Fault event;
+      event.kind = fault.value_or("rate");
+      if (fault_at_s) {
+        event.at_s = *fault_at_s;
+      } else if (!spec.faults.empty()) {
+        event.at_s = spec.faults.front().at_s;
+      }
+      spec.faults = {event};
+    }
+    if (seed) spec.seed = *seed;
+    if (topology) spec.topology = *topology;
+    if (k) spec.k = k;
+    if (leaves) spec.leaves = leaves;
+    if (spines) spec.spines = spines;
+    if (flows) spec.flows = flows;
+    if (pps) spec.pps = pps;
+    if (duration_s) spec.duration_s = duration_s;
+    if (systems) {
+      spec.systems = systems;
+    } else if (!baselines) {
+      spec.systems = std::vector<std::string>{"mars"};
+    }
+    if (backend) spec.telemetry.backend = backend;
+    if (path_id_hash) spec.telemetry.path_id.hash = path_id_hash;
+    if (path_id_bits) spec.telemetry.path_id.width_bits = path_id_bits;
+    if (log_level) spec.obs.log_level = log_level;
+    if (!provenance_out.empty()) spec.obs.provenance = true;
+    if (!flight_out.empty()) spec.obs.flight_recorder.enabled = true;
+    cfg = spec.to_config();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  // Flags override the spec (or the defaults).
-  if (scenario_file.empty()) {
-    // defaults already applied via default_scenario
-  } else if (fault || fault_at_s) {
-    // Flag-specified fault replaces the spec's whole schedule.
-    cfg.faults = faults::FaultSchedule::single(
-        fault.value_or(faults::FaultKind::kProcessRateDecrease),
-        cfg.first_fault_at());
-  }
-  if (seed) cfg.seed = *seed;
-  if (topology) cfg.topology.name = *topology;
-  if (k) cfg.topology.k = *k;
-  if (leaves) cfg.topology.leaves = *leaves;
-  if (spines) cfg.topology.spines = *spines;
-  if (flows) cfg.background.flows = *flows;
-  if (pps) cfg.background.pps = *pps;
-  if (duration_s) {
-    cfg.duration = static_cast<sim::Time>(*duration_s * sim::kSecond);
-  }
-  if (fault_at_s) {
-    for (auto& event : cfg.faults.events) {
-      event.at = static_cast<sim::Time>(*fault_at_s * sim::kSecond);
-    }
-  }
-  if (systems) {
-    cfg.systems = *systems;
-  } else if (!baselines) {
-    cfg.systems = {"mars"};
-  }
-  if (backend) cfg.mars.pipeline.backend.kind = *backend;
-  if (path_id_hash) cfg.mars.pipeline.path_id.hash = *path_id_hash;
-  if (path_id_bits) cfg.mars.pipeline.path_id.width_bits = *path_id_bits;
-
-  if (log_level) cfg.obs.log_level = *log_level;
-  if (!provenance_out.empty()) cfg.obs.provenance = true;
-  if (!flight_out.empty()) cfg.obs.flight_recorder = true;
 
   if (path_audit) {
     // Audit only: build the registry for the configured topology and
@@ -416,7 +366,7 @@ int main(int argc, char** argv) {
     return a.conflict_free ? 0 : 1;
   }
 
-  if (const auto errors = validate_scenario(cfg); !errors.empty()) {
+  if (const auto errors = spec.validate(); !errors.empty()) {
     for (const auto& error : errors) {
       std::fprintf(stderr, "invalid scenario: %s\n", error.c_str());
     }

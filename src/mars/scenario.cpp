@@ -450,205 +450,94 @@ ScenarioResult assemble_result(
   return result;
 }
 
-/// The sharded engine: partition the fabric, one event queue per shard on
-/// a thread pool, conservative-lookahead windows, control plane on the
-/// global simulator. Validation has already restricted the config to
-/// what this engine models (MARS only, perfect channel).
-ScenarioResult run_sharded_scenario(const ScenarioConfig& config) {
-  net::BuiltFabric fabric =
-      net::TopologyRegistry::instance().build(config.topology);
-  const net::Partition partition =
-      net::partition_topology(fabric.topology, config.sim.shards);
-
-  sim::ShardedConfig shard_config;
-  shard_config.shards = config.sim.shards;
-  shard_config.control_latency = config.sim.control_latency;
-  // Lookahead: the fastest path between shards — the slimmest boundary
-  // link, capped by the control latency (post_control requires
-  // control_latency >= lookahead).
-  shard_config.lookahead = config.sim.control_latency;
-  if (!partition.boundary_links.empty()) {
-    shard_config.lookahead = std::min(shard_config.lookahead,
-                                      partition.min_boundary_propagation);
-  }
-
-  parallel::ThreadPool pool(static_cast<std::size_t>(config.sim.shards));
-  sim::ShardedSimulator ssim(pool, shard_config);
-  net::Network network(ssim, fabric.topology, partition);
-  for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
-    network.node(sw).set_queue_capacity(config.queue_capacity);
-  }
-
-  Observability* obs = config.observability;
-  configure_obs(config, obs);
-
-  std::vector<std::unique_ptr<systems::TelemetrySystem>> deployed;
-  deployed.reserve(config.systems.size());
-  for (const std::string& name : config.systems) {
-    deployed.push_back(
-        SystemRegistry::instance().create(name, network, config, obs));
-  }
-
-  workload::TrafficGenerator traffic(network, config.seed);
-  traffic.add_background(config.background, fabric.edge, fabric.pods);
-
-  faults::FaultInjector injector(network, traffic, config.seed ^ 0xFA17,
-                                 config.injector);
-  if (obs != nullptr) {
-    injector.set_metrics(obs->registry);
-    injector.set_event_log(&obs->log);
-  }
-
-  std::optional<obs::Sampler> sampler;
-  if (obs != nullptr) {
-    obs::scrape_network(network, obs->registry);
-    obs->registry.gauge("sim.shards", [&ssim] {
-      return static_cast<double>(ssim.shard_count());
+/// Engine-specific observability of the sharded engine: PDES sync and
+/// per-shard profiler gauges.
+void add_shard_gauges(obs::MetricsRegistry& registry,
+                      sim::ShardedSimulator& ssim, net::Network& network) {
+  registry.gauge("sim.shards", [&ssim] {
+    return static_cast<double>(ssim.shard_count());
+  });
+  registry.gauge("sim.windows", [&ssim] {
+    return static_cast<double>(ssim.sync_stats().windows);
+  });
+  registry.gauge("sim.global_rounds", [&ssim] {
+    return static_cast<double>(ssim.sync_stats().global_rounds);
+  });
+  registry.gauge("sim.lookahead_stalls", [&ssim] {
+    return static_cast<double>(ssim.sync_stats().lookahead_stalls);
+  });
+  registry.gauge("sim.windows_capped_by_global", [&ssim] {
+    return static_cast<double>(ssim.sync_stats().windows_capped_by_global);
+  });
+  registry.gauge("sim.windows_to_end", [&ssim] {
+    return static_cast<double>(ssim.sync_stats().windows_to_end);
+  });
+  registry.gauge("sim.mailbox.drains", [&network] {
+    return static_cast<double>(network.mailbox_stats().drains);
+  });
+  registry.gauge("sim.mailbox.mail", [&network] {
+    return static_cast<double>(network.mailbox_stats().total_mail);
+  });
+  registry.gauge("sim.mailbox.max_batch", [&network] {
+    return static_cast<double>(network.mailbox_stats().max_batch);
+  });
+  for (int i = 0; i < ssim.shard_count(); ++i) {
+    const std::string sp = "sim.shard." + std::to_string(i) + ".";
+    registry.gauge(sp + "events", [&ssim, i] {
+      return static_cast<double>(ssim.shard(i).events_executed());
     });
-    obs->registry.gauge("sim.windows", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().windows);
+    registry.gauge(sp + "busy_windows", [&ssim, i] {
+      return static_cast<double>(ssim.shard_stats(i).busy_windows);
     });
-    obs->registry.gauge("sim.global_rounds", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().global_rounds);
+    registry.gauge(sp + "busy_fraction", [&ssim, i] {
+      return ssim.shard_stats(i).busy_fraction();
     });
-    obs->registry.gauge("sim.lookahead_stalls", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().lookahead_stalls);
+    registry.gauge(sp + "max_window_events", [&ssim, i] {
+      return static_cast<double>(ssim.shard_stats(i).max_window_events);
     });
-    obs->registry.gauge("sim.windows_capped_by_global", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().windows_capped_by_global);
-    });
-    obs->registry.gauge("sim.windows_to_end", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().windows_to_end);
-    });
-    obs->registry.gauge("sim.mailbox.drains", [&network] {
-      return static_cast<double>(network.mailbox_stats().drains);
-    });
-    obs->registry.gauge("sim.mailbox.mail", [&network] {
-      return static_cast<double>(network.mailbox_stats().total_mail);
-    });
-    obs->registry.gauge("sim.mailbox.max_batch", [&network] {
-      return static_cast<double>(network.mailbox_stats().max_batch);
-    });
-    for (int i = 0; i < ssim.shard_count(); ++i) {
-      const std::string sp = "sim.shard." + std::to_string(i) + ".";
-      obs->registry.gauge(sp + "events", [&ssim, i] {
-        return static_cast<double>(ssim.shard(i).events_executed());
-      });
-      obs->registry.gauge(sp + "busy_windows", [&ssim, i] {
-        return static_cast<double>(ssim.shard_stats(i).busy_windows);
-      });
-      obs->registry.gauge(sp + "busy_fraction", [&ssim, i] {
-        return ssim.shard_stats(i).busy_fraction();
-      });
-      obs->registry.gauge(sp + "max_window_events", [&ssim, i] {
-        return static_cast<double>(ssim.shard_stats(i).max_window_events);
-      });
-    }
-    // Sampler scrapes run as global events: between windows, with every
-    // shard quiescent, so the per-shard gauges read stable state.
-    sampler.emplace(ssim.global(), obs->registry, obs->series,
-                    obs::SamplerConfig{.period = config.sample_period,
-                                       .until = config.duration});
-    sampler->set_tracer(&obs->tracer);
-    if (config.obs.flight_recorder) {
-      sampler->set_flight_recorder(&obs->recorder);
-    }
-    sampler->start();
   }
-
-  if (obs != nullptr) {
-    obs->log.log(obs::LogLevel::kInfo, 0, "scenario", "start",
-                 {{"topology", config.topology.name},
-                  {"seed", config.seed},
-                  {"duration_s", sim::to_seconds(config.duration)},
-                  {"systems", std::uint64_t{deployed.size()}}});
-  }
-  for (auto& system : deployed) system->start();
-  traffic.start();
-
-  const auto injected = injector.apply(config.faults);
-  std::vector<faults::GroundTruth> truths;
-  std::vector<std::string> fault_nodes;  // parallel to truths
-  for (std::size_t i = 0; i < injected.size(); ++i) {
-    if (!injected[i]) continue;
-    truths.push_back(*injected[i]);
-    if (obs != nullptr) {
-      obs::SpanArgs args{
-          {"fault", faults::to_string(config.faults.events[i].kind)},
-          {"truth", injected[i]->describe()}};
-      if (config.obs.provenance) {
-        // Ground-truth anchor: attribute_faults joins the graded culprits
-        // back to this node after the run.
-        fault_nodes.push_back(obs->provenance.add_node(
-            obs::ProvenanceGraph::NodeKind::kFault,
-            {{"kind", faults::to_string(config.faults.events[i].kind)},
-             {"truth", injected[i]->describe()},
-             {"ts_s", sim::to_seconds(config.faults.events[i].at)}}));
-        args.push_back({"prov", fault_nodes.back()});
-      }
-      obs->tracer.instant("fault_injected", "scenario",
-                          config.faults.events[i].at, args);
-    }
-  }
-
-  {
-    std::optional<obs::SpanTracer::WallSpan> run_span;
-    if (obs != nullptr) {
-      run_span.emplace(obs->tracer.wall_span(
-          "simulator.run", "sim",
-          {{"duration_s", sim::to_seconds(config.duration)},
-           {"shards", static_cast<std::uint64_t>(config.sim.shards)}}));
-    }
-    ssim.run(config.duration);
-    if (run_span) {
-      run_span->arg({"events", ssim.events_executed()});
-    }
-  }
-  // Gray manifestation accounting is filled in by the injector's probes
-  // during the run; re-read the final ground truths (same order).
-  truths = injector.injected();
-
-  if (obs != nullptr) {
-    for (int i = 0; i < ssim.shard_count(); ++i) {
-      obs->tracer.complete(
-          "sim.shard", "sim", 0, config.duration,
-          {{"shard", static_cast<std::uint64_t>(i)},
-           {"events", ssim.shard(i).events_executed()},
-           {"windows", ssim.shard_stats(i).windows},
-           {"busy_windows", ssim.shard_stats(i).busy_windows},
-           {"max_window_events", ssim.shard_stats(i).max_window_events}});
-    }
-    sampler->stop();
-    obs->snapshot = obs->registry.snapshot();
-    obs->registry.remove_gauges("");
-  }
-
-  ScenarioResult result = assemble_result(
-      config, deployed, std::move(truths), network.stats(),
-      traffic.packets_injected(), ssim.events_executed(),
-      ssim.global().now());
-  if (obs != nullptr) {
-    obs->log.log(obs::LogLevel::kInfo, ssim.global().now(), "scenario",
-                 "complete",
-                 {{"events", result.events_executed},
-                  {"packets", result.packets_injected}});
-    if (config.obs.provenance) {
-      attribute_faults(obs->provenance, result, fault_nodes);
-    }
-  }
-  return result;
 }
 
 }  // namespace
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   throw_if_invalid(config);
-  if (config.sim.shards >= 1) return run_sharded_scenario(config);
-
-  sim::Simulator simulator;
   net::BuiltFabric fabric =
       net::TopologyRegistry::instance().build(config.topology);
-  net::Network network(simulator, fabric.topology);
+
+  // One trial body over two engines. The classic engine runs one event
+  // queue. The sharded engine partitions the fabric, runs one queue per
+  // shard on a thread pool in conservative-lookahead windows, and keeps
+  // the control plane on its global simulator; validation has already
+  // restricted its config to what it models (MARS only, perfect channel).
+  // Either way network.simulator() is the control-plane clock.
+  const bool sharded = config.sim.shards >= 1;
+  std::optional<sim::Simulator> simulator;
+  std::optional<parallel::ThreadPool> pool;
+  std::optional<sim::ShardedSimulator> ssim;
+  std::optional<net::Network> network_slot;
+  if (sharded) {
+    const net::Partition partition =
+        net::partition_topology(fabric.topology, config.sim.shards);
+    sim::ShardedConfig shard_config;
+    shard_config.shards = config.sim.shards;
+    shard_config.control_latency = config.sim.control_latency;
+    // Lookahead: the fastest path between shards — the slimmest boundary
+    // link, capped by the control latency (post_control requires
+    // control_latency >= lookahead).
+    shard_config.lookahead = config.sim.control_latency;
+    if (!partition.boundary_links.empty()) {
+      shard_config.lookahead = std::min(shard_config.lookahead,
+                                        partition.min_boundary_propagation);
+    }
+    pool.emplace(static_cast<std::size_t>(config.sim.shards));
+    ssim.emplace(*pool, shard_config);
+    network_slot.emplace(*ssim, fabric.topology, partition);
+  } else {
+    simulator.emplace();
+    network_slot.emplace(*simulator, fabric.topology);
+  }
+  net::Network& network = *network_slot;
   for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
     network.node(sw).set_queue_capacity(config.queue_capacity);
   }
@@ -672,11 +561,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   faults::FaultInjector injector(network, traffic, config.seed ^ 0xFA17,
                                  config.injector);
   // Telemetry faults land on the first deployed system that models a
-  // degradable channel (MARS); without one they are skipped visibly.
-  for (auto& system : deployed) {
-    if (auto* channel = system->control_channel(); channel != nullptr) {
-      injector.attach_channel(channel);
-      break;
+  // degradable channel (MARS); without one they are skipped visibly. The
+  // sharded engine models no degraded channel.
+  if (!sharded) {
+    for (auto& system : deployed) {
+      if (auto* channel = system->control_channel(); channel != nullptr) {
+        injector.attach_channel(channel);
+        break;
+      }
     }
   }
   if (obs != nullptr) {
@@ -687,7 +579,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   std::optional<obs::Sampler> sampler;
   if (obs != nullptr) {
     obs::scrape_network(network, obs->registry);
-    sampler.emplace(simulator, obs->registry, obs->series,
+    if (sharded) add_shard_gauges(obs->registry, *ssim, network);
+    // On the sharded engine, sampler scrapes run as global events: between
+    // windows, with every shard quiescent, so the per-shard gauges read
+    // stable state.
+    sampler.emplace(network.simulator(), obs->registry, obs->series,
                     obs::SamplerConfig{.period = config.sample_period,
                                        .until = config.duration});
     sampler->set_tracer(&obs->tracer);
@@ -732,16 +628,26 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     }
   }
 
+  const auto events_executed = [&] {
+    return sharded ? ssim->events_executed() : simulator->events_executed();
+  };
   {
     std::optional<obs::SpanTracer::WallSpan> run_span;
     if (obs != nullptr) {
-      run_span.emplace(obs->tracer.wall_span(
-          "simulator.run", "sim",
-          {{"duration_s", sim::to_seconds(config.duration)}}));
+      obs::SpanArgs args{{"duration_s", sim::to_seconds(config.duration)}};
+      if (sharded) {
+        args.push_back(
+            {"shards", static_cast<std::uint64_t>(config.sim.shards)});
+      }
+      run_span.emplace(obs->tracer.wall_span("simulator.run", "sim", args));
     }
-    simulator.run(config.duration);
+    if (sharded) {
+      ssim->run(config.duration);
+    } else {
+      simulator->run(config.duration);
+    }
     if (run_span) {
-      run_span->arg({"events", simulator.events_executed()});
+      run_span->arg({"events", events_executed()});
     }
   }
   // Gray manifestation accounting is filled in by the injector's probes
@@ -749,6 +655,15 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   truths = injector.injected();
 
   if (obs != nullptr) {
+    for (int i = 0; sharded && i < ssim->shard_count(); ++i) {
+      obs->tracer.complete(
+          "sim.shard", "sim", 0, config.duration,
+          {{"shard", static_cast<std::uint64_t>(i)},
+           {"events", ssim->shard(i).events_executed()},
+           {"windows", ssim->shard_stats(i).windows},
+           {"busy_windows", ssim->shard_stats(i).busy_windows},
+           {"max_window_events", ssim->shard_stats(i).max_window_events}});
+    }
     sampler->stop();
     obs->snapshot = obs->registry.snapshot();
     // Scenario-scoped gauges capture the network/systems on this stack;
@@ -756,13 +671,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     obs->registry.remove_gauges("");
   }
 
-  ScenarioResult result = assemble_result(
-      config, deployed, std::move(truths), network.stats(),
-      traffic.packets_injected(), simulator.events_executed(),
-      simulator.now());
+  const sim::Time now = network.simulator().now();
+  ScenarioResult result =
+      assemble_result(config, deployed, std::move(truths), network.stats(),
+                      traffic.packets_injected(), events_executed(), now);
   if (obs != nullptr) {
-    obs->log.log(obs::LogLevel::kInfo, simulator.now(), "scenario",
-                 "complete",
+    obs->log.log(obs::LogLevel::kInfo, now, "scenario", "complete",
                  {{"events", result.events_executed},
                   {"packets", result.packets_injected}});
     if (config.obs.provenance) {

@@ -1,9 +1,15 @@
 #include "mars/scenario_spec.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <concepts>
+#include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/json_reader.hpp"
 #include "obs/json_writer.hpp"
@@ -14,381 +20,623 @@ namespace mars {
 
 namespace {
 
-sim::Time seconds_to_time(double s) {
-  return static_cast<sim::Time>(
-      std::llround(s * static_cast<double>(sim::kSecond)));
-}
+// Every spec field is one row of a field table (spec_table() and
+// fault_table() below): its dotted JSON path, the ScenarioSpec member it
+// lives in, an optional bound, and its lowering into ScenarioConfig (or a
+// faults::FaultEvent). The member's C++ type is the row's JSON type — a
+// number, an integer of that width, a string, or a bool — so parsing,
+// serialization, lowering, unknown-key rejection and the spec-level checks
+// of validate() are all loops over the same rows.
+
+using obs::JsonValue;
+using Errors = std::vector<std::string>;
+using Fault = ScenarioSpec::Fault;
+
+/// The member (or config target) a row reads and writes. A generic lambda,
+/// so one accessor serves both the const and the mutable owner.
+#define AT(member) [](auto& owner) -> auto& { return owner.member; }
 
 [[noreturn]] void fail(const std::string& path, const std::string& message) {
   throw std::invalid_argument(path + ": " + message);
 }
 
-double as_number(const obs::JsonValue& v, const std::string& path) {
-  if (!v.is_number()) fail(path, std::string("expected a number, got ") +
-                                     v.kind_name());
-  return v.as_number();
+std::string join(const std::vector<std::string_view>& names) {
+  std::string out;
+  for (const std::string_view name : names) {
+    if (!out.empty()) out += ", ";
+    out += name;
+  }
+  return out;
 }
 
-int as_count(const obs::JsonValue& v, const std::string& path) {
-  if (!v.is_number()) fail(path, std::string("expected an integer, got ") +
-                                     v.kind_name());
+std::string shortest(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+// ---- one JSON value <-> one member, by the member's type ----
+
+template <class T>
+bool is_set(const T&) {
+  return true;
+}
+template <class T>
+bool is_set(const std::optional<T>& v) {
+  return v.has_value();
+}
+template <class T>
+const T& value_of(const T& v) {
+  return v;
+}
+template <class T>
+const T& value_of(const std::optional<T>& v) {
+  return *v;
+}
+template <class T>
+T& assign(T& v) {
+  return v;
+}
+template <class T>
+T& assign(std::optional<T>& v) {
+  return v.emplace();
+}
+
+void read(const JsonValue& v, const std::string& at, double& out) {
+  if (!v.is_number()) {
+    fail(at, std::string("expected a number, got ") + v.kind_name());
+  }
+  out = v.as_number();
+}
+
+void read(const JsonValue& v, const std::string& at, std::string& out) {
+  if (!v.is_string()) {
+    fail(at, std::string("expected a string, got ") + v.kind_name());
+  }
+  out = v.as_string();
+}
+
+void read(const JsonValue& v, const std::string& at, bool& out) {
+  if (!v.is_bool()) {
+    fail(at, std::string("expected a boolean, got ") + v.kind_name());
+  }
+  out = v.as_bool();
+}
+
+/// Integers are checked against the type they narrow to: a value that
+/// does not fit is an error, never a silent wrap-around.
+template <std::integral T>
+  requires(!std::same_as<T, bool>)
+void read(const JsonValue& v, const std::string& at, T& out) {
+  constexpr bool kSigned = std::is_signed_v<T>;
+  if (!v.is_number()) {
+    fail(at, std::string(kSigned ? "expected an integer, got "
+                                 : "expected an unsigned integer, got ") +
+                 v.kind_name());
+  }
   const double d = v.as_number();
-  if (d != std::floor(d)) fail(path, "expected an integer");
-  return static_cast<int>(d);
+  if (d != std::floor(d) || (!kSigned && d < 0)) {
+    fail(at,
+         kSigned ? "expected an integer" : "expected a non-negative integer");
+  }
+  // Both ends of T's range are powers of two, exact in a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (d >= limit || d < (kSigned ? -limit : 0.0)) {
+    fail(at, "expected an integer in [" +
+                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                 std::to_string(std::numeric_limits<T>::max()) + "] (got " +
+                 shortest(d) + ")");
+  }
+  out = static_cast<T>(d);
 }
 
-std::uint64_t as_uint(const obs::JsonValue& v, const std::string& path) {
-  if (!v.is_number()) fail(path, std::string("expected an unsigned integer, "
-                                             "got ") +
-                                     v.kind_name());
-  try {
-    return v.as_uint();
-  } catch (const std::exception&) {
-    fail(path, "expected a non-negative integer");
+void read(const JsonValue& v, const std::string& at,
+          std::vector<std::string>& out) {
+  if (!v.is_array()) fail(at, "expected an array");
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    read(v.at(i), at + "[" + std::to_string(i) + "]", out.emplace_back());
   }
 }
 
-const std::string& as_string(const obs::JsonValue& v,
-                             const std::string& path) {
-  if (!v.is_string()) fail(path, std::string("expected a string, got ") +
-                                     v.kind_name());
-  return v.as_string();
+void read(const JsonValue& v, const std::string& at, std::vector<Fault>& out);
+
+void write(obs::JsonWriter& w, double v) { w.value(v); }
+void write(obs::JsonWriter& w, bool v) { w.value(v); }
+void write(obs::JsonWriter& w, const std::string& v) { w.value(v); }
+
+template <std::integral T>
+  requires(!std::same_as<T, bool>)
+void write(obs::JsonWriter& w, T v) {
+  if constexpr (std::is_signed_v<T>) {
+    w.value(static_cast<std::int64_t>(v));
+  } else {
+    w.value(static_cast<std::uint64_t>(v));
+  }
 }
 
-bool as_bool(const obs::JsonValue& v, const std::string& path) {
-  if (!v.is_bool()) fail(path, std::string("expected a boolean, got ") +
-                                   v.kind_name());
-  return v.as_bool();
+void write(obs::JsonWriter& w, const std::vector<std::string>& v) {
+  w.begin_array();
+  for (const auto& s : v) w.value(s);
+  w.end_array();
 }
 
-void reject_unknown_keys(const obs::JsonValue& object,
-                         std::initializer_list<std::string_view> known,
-                         const std::string& path) {
-  for (const auto& [key, value] : object.members()) {
-    bool ok = false;
-    for (const std::string_view k : known) {
-      if (key == k) {
-        ok = true;
-        break;
+void write(obs::JsonWriter& w, const std::vector<Fault>& faults);
+
+// ---- bounds: the spec-level range checks of validate() ----
+
+struct Bound {
+  enum class Kind { kNone, kRange, kPositive, kNonzero };
+  Kind kind = Kind::kNone;
+  double lo = 0.0, hi = 0.0;
+
+  template <class V>
+  void check(const V& v, const std::string& at, Errors& errors) const {
+    if constexpr (std::is_arithmetic_v<V>) {
+      const double d = static_cast<double>(v);
+      switch (kind) {
+        case Kind::kNone: break;
+        case Kind::kRange:
+          if (d < lo || d > hi) {
+            errors.push_back(at + " must be in [" + shortest(lo) + ", " +
+                             shortest(hi) + "] (got " + std::to_string(v) +
+                             ")");
+          }
+          break;
+        case Kind::kPositive:
+          if (d <= 0.0) {
+            errors.push_back(at + " must be positive (got " +
+                             std::to_string(v) + ")");
+          }
+          break;
+        case Kind::kNonzero:
+          if (d == 0.0) errors.push_back(at + " must be nonzero");
+          break;
       }
     }
-    if (!ok) {
-      std::string names;
-      for (const std::string_view k : known) {
-        if (!names.empty()) names += ", ";
-        names += k;
-      }
-      fail(path, "unknown key '" + key + "' (known: " + names + ")");
+  }
+};
+
+Bound in_range(double lo, double hi) {
+  return {Bound::Kind::kRange, lo, hi};
+}
+constexpr Bound kPositive{Bound::Kind::kPositive};
+constexpr Bound kNonzero{Bound::Kind::kNonzero};
+
+// ---- lowerings: how a set field lands in the config ----
+
+struct NoCheck {
+  template <class V>
+  void check(const V&, const std::string&, Errors&) const {}
+};
+
+/// No lowering: the field only labels the spec.
+struct Ignore : NoCheck {
+  template <class V, class Target>
+  void operator()(const V&, const std::string&, Target&) const {}
+};
+
+/// Plain copy into a config member.
+template <class Dst>
+struct Copy : NoCheck {
+  Dst dst;
+  template <class V, class Target>
+  void operator()(const V& v, const std::string&, Target& target) const {
+    auto& member = dst(target);
+    member = static_cast<std::remove_cvref_t<decltype(member)>>(v);
+  }
+};
+template <class Dst>
+Copy<Dst> copy(Dst dst) {
+  return {{}, dst};
+}
+
+/// Unit conversion into a sim::Time member (s, ms or µs to ns).
+template <class Dst>
+struct Nanos : NoCheck {
+  Dst dst;
+  sim::Time unit;
+  template <class Target>
+  void operator()(double v, const std::string&, Target& target) const {
+    dst(target) = static_cast<sim::Time>(
+        std::llround(v * static_cast<double>(unit)));
+  }
+};
+template <class Dst>
+Nanos<Dst> nanos(Dst dst, sim::Time unit) {
+  return {{}, dst, unit};
+}
+
+/// A registry name resolved to its enum value.
+template <class E>
+struct Names {
+  const char* noun;
+  std::optional<E> (*from_name)(std::string_view);
+  std::string (*known)();
+  std::string (*suggest)(std::string_view) = nullptr;
+
+  [[nodiscard]] std::string unknown(const std::string& name,
+                                    const std::string& at) const {
+    std::string msg = at + ": unknown " + noun + " '" + name +
+                      "' (known: " + known() + ")";
+    if (suggest != nullptr) {
+      const std::string hint = suggest(name);
+      if (!hint.empty()) msg += "; did you mean '" + hint + "'?";
     }
+    return msg;
+  }
+  /// The value for `name`; throws the path-named error when unknown.
+  [[nodiscard]] E get(const std::string& name, const std::string& at) const {
+    const auto value = from_name(name);
+    if (!value) throw std::invalid_argument(unknown(name, at));
+    return *value;
+  }
+};
+
+const Names<telemetry::BackendKind> kBackends{
+    "telemetry backend", telemetry::backend_from_name,
+    [] {
+      const auto& names = telemetry::known_backend_names();
+      return join({names.begin(), names.end()});
+    },
+    telemetry::suggest_backend};
+const Names<telemetry::HashKind> kHashes{
+    "path_id hash", telemetry::hash_from_name,
+    [] { return std::string("crc16, crc32"); }};
+const Names<obs::LogLevel> kLogLevels{
+    "log level", obs::level_from_name,
+    [] { return std::string("debug, info, warn, error"); }};
+const Names<faults::FaultKind> kFaultKinds{
+    "fault kind", faults::kind_from_name,
+    [] { return std::string(faults::known_kind_names()); }};
+
+template <class Dst, class E>
+struct Lookup {
+  Dst dst;
+  const Names<E>* names;
+  void check(const std::string& v, const std::string& at,
+             Errors& errors) const {
+    if (!names->from_name(v)) errors.push_back(names->unknown(v, at));
+  }
+  template <class Target>
+  void operator()(const std::string& v, const std::string& at,
+                  Target& target) const {
+    dst(target) = names->get(v, at);
+  }
+};
+template <class Dst, class E>
+Lookup<Dst, E> lookup(Dst dst, const Names<E>& names) {
+  return {dst, &names};
+}
+
+// ---- the table ----
+
+template <class Owner, class Target>
+class Table {
+ public:
+  template <class Get, class Lower = Ignore>
+  void add(std::string_view path, Get get, Lower lowering = {},
+           Bound bound = {}) {
+    rows_.push_back(Row{
+        .path = path,
+        .is_set = [get](const Owner& o) { return is_set(get(o)); },
+        .read =
+            [get](Owner& o, const JsonValue& v, const std::string& at) {
+              read(v, at, assign(get(o)));
+            },
+        .write =
+            [get](const Owner& o, obs::JsonWriter& w) {
+              write(w, value_of(get(o)));
+            },
+        .check =
+            [get, lowering, bound](const Owner& o, const std::string& at,
+                                   Errors& errors) {
+              if (!is_set(get(o))) return;
+              bound.check(value_of(get(o)), at, errors);
+              lowering.check(value_of(get(o)), at, errors);
+            },
+        .lower =
+            [get, lowering](const Owner& o, const std::string& at,
+                            Target& t) {
+              if (is_set(get(o))) lowering(value_of(get(o)), at, t);
+            },
+    });
+  }
+
+  /// Parse the owner from its JSON object at `at` (e.g. "spec").
+  [[nodiscard]] Owner parse(const JsonValue& object,
+                            const std::string& at) const {
+    reject_unknown_keys(object, at, "");
+    Owner owner;
+    for (const Row& row : rows_) {
+      const JsonValue* v = &object;
+      for (const std::string_view key : split(row.path)) {
+        v = v->find(key);
+        if (v == nullptr) break;
+      }
+      if (v != nullptr) row.read(owner, *v, at + "." + std::string(row.path));
+    }
+    return owner;
+  }
+
+  /// Write the owner's set fields as one JSON object. Rows sharing a
+  /// parent object are adjacent in the table, so each object opens once.
+  void serialize(obs::JsonWriter& w, const Owner& owner) const {
+    w.begin_object();
+    std::vector<std::string_view> open;  // nested objects, outermost first
+    for (const Row& row : rows_) {
+      if (!row.is_set(owner)) continue;
+      std::vector<std::string_view> parents = split(row.path);
+      const std::string_view key = parents.back();
+      parents.pop_back();
+      std::size_t common = 0;
+      while (common < open.size() && common < parents.size() &&
+             open[common] == parents[common]) {
+        ++common;
+      }
+      for (; open.size() > common; open.pop_back()) w.end_object();
+      while (open.size() < parents.size()) {
+        open.push_back(parents[open.size()]);
+        w.key(open.back()).begin_object();
+      }
+      w.key(key);
+      row.write(owner, w);
+    }
+    for (; !open.empty(); open.pop_back()) w.end_object();
+    w.end_object();
+  }
+
+  /// The spec-level checks: every set row's bound and name lookup.
+  void check(const Owner& owner, const std::string& at,
+             Errors& errors) const {
+    for (const Row& row : rows_) {
+      row.check(owner, at + "." + std::string(row.path), errors);
+    }
+  }
+
+  void lower(const Owner& owner, const std::string& at,
+             Target& target) const {
+    for (const Row& row : rows_) {
+      row.lower(owner, at + "." + std::string(row.path), target);
+    }
+  }
+
+ private:
+  struct Row {
+    std::string_view path;
+    std::function<bool(const Owner&)> is_set;
+    std::function<void(Owner&, const JsonValue&, const std::string&)> read;
+    std::function<void(const Owner&, obs::JsonWriter&)> write;
+    std::function<void(const Owner&, const std::string&, Errors&)> check;
+    std::function<void(const Owner&, const std::string&, Target&)> lower;
+  };
+
+  static std::vector<std::string_view> split(std::string_view path) {
+    std::vector<std::string_view> parts;
+    for (std::size_t start = 0; start <= path.size();) {
+      const std::size_t dot = std::min(path.find('.', start), path.size());
+      parts.push_back(path.substr(start, dot - start));
+      start = dot + 1;
+    }
+    return parts;
+  }
+
+  /// Reject keys no row names, recursing into nested objects. `prefix` is
+  /// the dotted path of `object` below the owner ("" at the top).
+  void reject_unknown_keys(const JsonValue& object, const std::string& at,
+                           const std::string& prefix) const {
+    if (!object.is_object()) fail(at, "expected an object");
+    std::vector<std::string_view> known;  // table order, distinct
+    for (const Row& row : rows_) {
+      if (!row.path.starts_with(prefix)) continue;
+      const std::string_view rest = row.path.substr(prefix.size());
+      const std::string_view key = rest.substr(0, rest.find('.'));
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        known.push_back(key);
+      }
+    }
+    for (const auto& [key, value] : object.members()) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        fail(at, "unknown key '" + key + "' (known: " + join(known) + ")");
+      }
+      const std::string nested = prefix + key + ".";
+      if (std::any_of(rows_.begin(), rows_.end(), [&](const Row& row) {
+            return row.path.starts_with(nested);
+          })) {
+        reject_unknown_keys(value, at + "." + key, nested);
+      }
+    }
+  }
+
+  std::vector<Row> rows_;
+};
+
+const Table<Fault, faults::FaultEvent>& fault_table() {
+  static const auto table = [] {
+    Table<Fault, faults::FaultEvent> t;
+    t.add("kind", AT(kind), lookup(AT(kind), kFaultKinds));
+    t.add("at_s", AT(at_s), nanos(AT(at), sim::kSecond));
+    t.add("duration_s", AT(duration_s), nanos(AT(duration), sim::kSecond));
+    t.add("target_switch", AT(target_switch), copy(AT(target_switch)));
+    t.add("target_port", AT(target_port), copy(AT(target_port)));
+    t.add("gray.mean_up_ms", AT(gray.mean_up_ms),
+          copy(AT(gray.flap_mean_up_ms)));
+    t.add("gray.mean_down_ms", AT(gray.mean_down_ms),
+          copy(AT(gray.flap_mean_down_ms)));
+    t.add("gray.fanout", AT(gray.fanout), copy(AT(gray.flap_fanout)));
+    t.add("gray.loss_fwd", AT(gray.loss_fwd), copy(AT(gray.loss_fwd)));
+    t.add("gray.loss_rev", AT(gray.loss_rev), copy(AT(gray.loss_rev)));
+    t.add("gray.drain_us_per_pkt", AT(gray.drain_us_per_pkt),
+          copy(AT(gray.drain_us_per_pkt)));
+    t.add("gray.gate_depth", AT(gray.gate_depth), copy(AT(gray.gate_depth)));
+    t.add("gray.gate_delay_ms", AT(gray.gate_delay_ms),
+          copy(AT(gray.gate_delay_ms)));
+    return t;
+  }();
+  return table;
+}
+
+void read(const JsonValue& v, const std::string& at, std::vector<Fault>& out) {
+  if (!v.is_array()) fail(at, "expected an array");
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out.push_back(
+        fault_table().parse(v.at(i), at + "[" + std::to_string(i) + "]"));
   }
 }
 
-ScenarioSpec::Fault parse_fault(const obs::JsonValue& v,
-                                const std::string& path) {
-  if (!v.is_object()) fail(path, "expected a fault object");
-  reject_unknown_keys(
-      v,
-      {"kind", "at_s", "duration_s", "target_switch", "target_port", "gray"},
-      path);
-  ScenarioSpec::Fault fault;
-  if (const auto* kind = v.find("kind")) {
-    fault.kind = as_string(*kind, path + ".kind");
-  }
-  if (const auto* at = v.find("at_s")) {
-    fault.at_s = as_number(*at, path + ".at_s");
-  }
-  if (const auto* d = v.find("duration_s")) {
-    fault.duration_s = as_number(*d, path + ".duration_s");
-  }
-  if (const auto* sw = v.find("target_switch")) {
-    fault.target_switch =
-        static_cast<net::SwitchId>(as_uint(*sw, path + ".target_switch"));
-  }
-  if (const auto* port = v.find("target_port")) {
-    fault.target_port =
-        static_cast<net::PortId>(as_uint(*port, path + ".target_port"));
-  }
-  if (const auto* gray = v.find("gray")) {
-    const std::string gpath = path + ".gray";
-    if (!gray->is_object()) fail(gpath, "expected an object");
-    reject_unknown_keys(*gray,
-                        {"mean_up_ms", "mean_down_ms", "fanout", "loss_fwd",
-                         "loss_rev", "drain_us_per_pkt", "gate_depth",
-                         "gate_delay_ms"},
-                        gpath);
-    if (const auto* g = gray->find("mean_up_ms")) {
-      fault.gray.mean_up_ms = as_number(*g, gpath + ".mean_up_ms");
-    }
-    if (const auto* g = gray->find("mean_down_ms")) {
-      fault.gray.mean_down_ms = as_number(*g, gpath + ".mean_down_ms");
-    }
-    if (const auto* g = gray->find("fanout")) {
-      fault.gray.fanout = as_count(*g, gpath + ".fanout");
-    }
-    if (const auto* g = gray->find("loss_fwd")) {
-      fault.gray.loss_fwd = as_number(*g, gpath + ".loss_fwd");
-    }
-    if (const auto* g = gray->find("loss_rev")) {
-      fault.gray.loss_rev = as_number(*g, gpath + ".loss_rev");
-    }
-    if (const auto* g = gray->find("drain_us_per_pkt")) {
-      fault.gray.drain_us_per_pkt =
-          as_number(*g, gpath + ".drain_us_per_pkt");
-    }
-    if (const auto* g = gray->find("gate_depth")) {
-      fault.gray.gate_depth =
-          static_cast<std::uint32_t>(as_uint(*g, gpath + ".gate_depth"));
-    }
-    if (const auto* g = gray->find("gate_delay_ms")) {
-      fault.gray.gate_delay_ms = as_number(*g, gpath + ".gate_delay_ms");
-    }
-  }
-  return fault;
+void write(obs::JsonWriter& w, const std::vector<Fault>& faults) {
+  w.begin_array();
+  for (const Fault& fault : faults) fault_table().serialize(w, fault);
+  w.end_array();
 }
+
+/// The fault list lowers to the config's schedule, one event per fault.
+struct Schedule {
+  void check(const std::vector<Fault>& faults, const std::string& at,
+             Errors& errors) const {
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      fault_table().check(faults[i], at + "[" + std::to_string(i) + "]",
+                          errors);
+    }
+  }
+  void operator()(const std::vector<Fault>& faults, const std::string& at,
+                  ScenarioConfig& cfg) const {
+    cfg.faults.events.clear();
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      faults::FaultEvent event;
+      fault_table().lower(faults[i], at + "[" + std::to_string(i) + "]",
+                          event);
+      cfg.faults.add(event);
+    }
+  }
+};
+
+const Table<ScenarioSpec, ScenarioConfig>& spec_table() {
+  static const auto table = [] {
+    Table<ScenarioSpec, ScenarioConfig> t;
+    t.add("name", AT(name));
+    t.add("topology.name", AT(topology), copy(AT(topology.name)));
+    t.add("topology.k", AT(k), copy(AT(topology.k)));
+    t.add("topology.leaves", AT(leaves), copy(AT(topology.leaves)));
+    t.add("topology.spines", AT(spines), copy(AT(topology.spines)));
+    t.add("topology.edge_gbps", AT(edge_gbps), copy(AT(topology.edge_gbps)));
+    t.add("topology.core_gbps", AT(core_gbps), copy(AT(topology.core_gbps)));
+    t.add("topology.propagation_us", AT(propagation_us),
+          nanos(AT(topology.propagation), sim::kMicrosecond));
+    t.add("queue_capacity", AT(queue_capacity), copy(AT(queue_capacity)));
+    t.add("background.flows", AT(flows), copy(AT(background.flows)));
+    t.add("background.pps", AT(pps), copy(AT(background.pps)));
+    t.add("background.inter_pod_fraction", AT(inter_pod_fraction),
+          copy(AT(background.inter_pod_fraction)));
+    t.add("duration_s", AT(duration_s), nanos(AT(duration), sim::kSecond));
+    t.add("channel.notification_loss", AT(channel.notification_loss),
+          copy(AT(mars.channel.notification_loss)));
+    t.add("channel.notification_delay_prob",
+          AT(channel.notification_delay_prob),
+          copy(AT(mars.channel.notification_delay_prob)));
+    t.add("channel.notification_delay_min_s",
+          AT(channel.notification_delay_min_s),
+          nanos(AT(mars.channel.notification_delay_min), sim::kSecond));
+    t.add("channel.notification_delay_max_s",
+          AT(channel.notification_delay_max_s),
+          nanos(AT(mars.channel.notification_delay_max), sim::kSecond));
+    t.add("channel.read_failure", AT(channel.read_failure),
+          copy(AT(mars.channel.read_failure)));
+    t.add("channel.record_loss", AT(channel.record_loss),
+          copy(AT(mars.channel.record_loss)));
+    t.add("channel.record_corruption", AT(channel.record_corruption),
+          copy(AT(mars.channel.record_corruption)));
+    t.add("channel.read_deadline_s", AT(channel.read_deadline_s),
+          nanos(AT(mars.controller.read_deadline), sim::kSecond));
+    t.add("channel.retry_backoff_s", AT(channel.retry_backoff_s),
+          nanos(AT(mars.controller.retry_backoff), sim::kSecond));
+    t.add("channel.max_read_retries", AT(channel.max_read_retries),
+          copy(AT(mars.controller.max_read_retries)));
+    t.add("telemetry.backend", AT(telemetry.backend),
+          lookup(AT(mars.pipeline.backend.kind), kBackends));
+    t.add("telemetry.ring_capacity", AT(telemetry.ring_capacity),
+          copy(AT(mars.pipeline.ring_capacity)));
+    t.add("telemetry.int_md.sample_every", AT(telemetry.int_md.sample_every),
+          copy(AT(mars.pipeline.backend.int_md.sample_every)));
+    t.add("telemetry.int_md.max_hops", AT(telemetry.int_md.max_hops),
+          copy(AT(mars.pipeline.backend.int_md.max_hops)));
+    t.add("telemetry.histogram.buckets", AT(telemetry.histogram.buckets),
+          copy(AT(mars.pipeline.backend.histogram.buckets)));
+    t.add("telemetry.histogram.sub_bucket_bits",
+          AT(telemetry.histogram.sub_bucket_bits),
+          copy(AT(mars.pipeline.backend.histogram.sub_bucket_bits)));
+    t.add("telemetry.histogram.tail_latency_ms",
+          AT(telemetry.histogram.tail_latency_ms),
+          nanos(AT(mars.pipeline.backend.histogram.tail_latency),
+                sim::kMillisecond));
+    t.add("telemetry.histogram.trigger_enter",
+          AT(telemetry.histogram.trigger_enter),
+          copy(AT(mars.pipeline.backend.histogram.trigger_enter)));
+    t.add("telemetry.histogram.trigger_exit",
+          AT(telemetry.histogram.trigger_exit),
+          copy(AT(mars.pipeline.backend.histogram.trigger_exit)));
+    t.add("telemetry.histogram.digest_capacity",
+          AT(telemetry.histogram.digest_capacity),
+          copy(AT(mars.pipeline.backend.histogram.digest_capacity)));
+    t.add("telemetry.path_id.hash", AT(telemetry.path_id.hash),
+          lookup(AT(mars.pipeline.path_id.hash), kHashes));
+    t.add("telemetry.path_id.width_bits", AT(telemetry.path_id.width_bits),
+          copy(AT(mars.pipeline.path_id.width_bits)), in_range(1, 32));
+    t.add("mining.threads", AT(mining.threads),
+          copy(AT(mars.rca.mining.threads)));
+    t.add("rca.accumulator.enabled", AT(rca.accumulator.enabled),
+          copy(AT(mars.rca.accumulator.enabled)));
+    t.add("rca.accumulator.half_life_s", AT(rca.accumulator.half_life_s),
+          nanos(AT(mars.rca.accumulator.half_life), sim::kSecond));
+    t.add("rca.accumulator.max_windows", AT(rca.accumulator.max_windows),
+          copy(AT(mars.rca.accumulator.max_windows)));
+    t.add("rca.single_window", AT(rca.single_window),
+          copy(AT(mars.rca.single_window)));
+    t.add("sim.shards", AT(sim.shards), copy(AT(sim.shards)),
+          in_range(1, 64));
+    t.add("sim.control_latency_s", AT(sim.control_latency_s),
+          nanos(AT(sim.control_latency), sim::kSecond));
+    t.add("obs.log_level", AT(obs.log_level),
+          lookup(AT(obs.log_level), kLogLevels));
+    t.add("obs.log_rate_limit_per_s", AT(obs.log_rate_limit_per_s),
+          copy(AT(obs.log_rate_limit_per_s)), kPositive);
+    t.add("obs.log_rate_limit_burst", AT(obs.log_rate_limit_burst),
+          copy(AT(obs.log_rate_limit_burst)), kNonzero);
+    t.add("obs.flight_recorder.enabled", AT(obs.flight_recorder.enabled),
+          copy(AT(obs.flight_recorder)));
+    t.add("obs.flight_recorder.capacity", AT(obs.flight_recorder.capacity),
+          copy(AT(obs.flight_capacity)), kNonzero);
+    t.add("obs.flight_recorder.confidence_threshold",
+          AT(obs.flight_recorder.confidence_threshold),
+          copy(AT(obs.flight_confidence_threshold)), in_range(0, 1));
+    t.add("obs.provenance", AT(obs.provenance), copy(AT(obs.provenance)));
+    t.add("seed", AT(seed), copy(AT(seed)));
+    t.add("systems", AT(systems), copy(AT(systems)));
+    t.add("faults", AT(faults), Schedule{});
+    return t;
+  }();
+  return table;
+}
+
+#undef AT
 
 }  // namespace
 
 ScenarioConfig ScenarioSpec::to_config() const {
-  faults::FaultKind first_kind = faults::FaultKind::kProcessRateDecrease;
-  if (!faults.empty()) {
-    const auto kind = faults::kind_from_name(faults.front().kind);
-    if (!kind) {
-      throw std::invalid_argument(
-          "unknown fault kind '" + faults.front().kind +
-          "' (known: " + faults::known_kind_names() + ")");
-    }
-    first_kind = *kind;
-  }
-  // Start from the tuned paper defaults for this fault class, then apply
-  // only the fields the spec sets — a minimal spec IS default_scenario.
+  // Start from the tuned paper defaults for the first fault's class, then
+  // apply only the fields the spec sets — a minimal spec IS
+  // default_scenario.
+  const faults::FaultKind first_kind =
+      faults.empty() ? faults::FaultKind::kProcessRateDecrease
+                     : kFaultKinds.get(faults.front().kind,
+                                       "spec.faults[0].kind");
   ScenarioConfig cfg = default_scenario(first_kind, seed);
-  cfg.topology.name = topology;
-  if (k) cfg.topology.k = *k;
-  if (leaves) cfg.topology.leaves = *leaves;
-  if (spines) cfg.topology.spines = *spines;
-  if (edge_gbps) cfg.topology.edge_gbps = *edge_gbps;
-  if (core_gbps) cfg.topology.core_gbps = *core_gbps;
-  if (propagation_us) {
-    cfg.topology.propagation = static_cast<sim::Time>(
-        std::llround(*propagation_us * 1e3));
-  }
-  if (queue_capacity) cfg.queue_capacity = *queue_capacity;
-  if (flows) cfg.background.flows = *flows;
-  if (pps) cfg.background.pps = *pps;
-  if (inter_pod_fraction) {
-    cfg.background.inter_pod_fraction = *inter_pod_fraction;
-  }
-  if (duration_s) cfg.duration = seconds_to_time(*duration_s);
-  if (systems) cfg.systems = *systems;
-
-  control::ChannelConfig& ch = cfg.mars.channel;
-  if (channel.notification_loss) {
-    ch.notification_loss = *channel.notification_loss;
-  }
-  if (channel.notification_delay_prob) {
-    ch.notification_delay_prob = *channel.notification_delay_prob;
-  }
-  if (channel.notification_delay_min_s) {
-    ch.notification_delay_min = seconds_to_time(*channel.notification_delay_min_s);
-  }
-  if (channel.notification_delay_max_s) {
-    ch.notification_delay_max = seconds_to_time(*channel.notification_delay_max_s);
-  }
-  if (channel.read_failure) ch.read_failure = *channel.read_failure;
-  if (channel.record_loss) ch.record_loss = *channel.record_loss;
-  if (channel.record_corruption) {
-    ch.record_corruption = *channel.record_corruption;
-  }
-  if (channel.read_deadline_s) {
-    cfg.mars.controller.read_deadline =
-        seconds_to_time(*channel.read_deadline_s);
-  }
-  if (channel.retry_backoff_s) {
-    cfg.mars.controller.retry_backoff =
-        seconds_to_time(*channel.retry_backoff_s);
-  }
-  if (channel.max_read_retries) {
-    cfg.mars.controller.max_read_retries = *channel.max_read_retries;
-  }
-  dataplane::PipelineConfig& pl = cfg.mars.pipeline;
-  if (telemetry.backend) {
-    const auto kind = telemetry::backend_from_name(*telemetry.backend);
-    if (!kind) {
-      std::string msg = "unknown telemetry backend '" + *telemetry.backend +
-                        "' (known:";
-      for (const auto& n : telemetry::known_backend_names()) msg += " " + n;
-      msg += ")";
-      const std::string hint = telemetry::suggest_backend(*telemetry.backend);
-      if (!hint.empty()) msg += "; did you mean '" + hint + "'?";
-      throw std::invalid_argument(msg);
-    }
-    pl.backend.kind = *kind;
-  }
-  if (telemetry.ring_capacity) pl.ring_capacity = *telemetry.ring_capacity;
-  if (telemetry.int_md.sample_every) {
-    pl.backend.int_md.sample_every = *telemetry.int_md.sample_every;
-  }
-  if (telemetry.int_md.max_hops) {
-    pl.backend.int_md.max_hops = *telemetry.int_md.max_hops;
-  }
-  if (telemetry.histogram.buckets) {
-    pl.backend.histogram.buckets = *telemetry.histogram.buckets;
-  }
-  if (telemetry.histogram.sub_bucket_bits) {
-    pl.backend.histogram.sub_bucket_bits = *telemetry.histogram.sub_bucket_bits;
-  }
-  if (telemetry.histogram.tail_latency_ms) {
-    pl.backend.histogram.tail_latency =
-        seconds_to_time(*telemetry.histogram.tail_latency_ms * 1e-3);
-  }
-  if (telemetry.histogram.trigger_enter) {
-    pl.backend.histogram.trigger_enter = *telemetry.histogram.trigger_enter;
-  }
-  if (telemetry.histogram.trigger_exit) {
-    pl.backend.histogram.trigger_exit = *telemetry.histogram.trigger_exit;
-  }
-  if (telemetry.histogram.digest_capacity) {
-    pl.backend.histogram.digest_capacity = *telemetry.histogram.digest_capacity;
-  }
-  if (telemetry.path_id.hash) {
-    const auto kind = telemetry::hash_from_name(*telemetry.path_id.hash);
-    if (!kind) {
-      throw std::invalid_argument("unknown path_id hash '" +
-                                  *telemetry.path_id.hash +
-                                  "' (known: crc16, crc32)");
-    }
-    pl.path_id.hash = *kind;
-  }
-  if (telemetry.path_id.width_bits) {
-    pl.path_id.width_bits = *telemetry.path_id.width_bits;
-  }
-  if (mining.threads) cfg.mars.rca.mining.threads = *mining.threads;
-  if (rca.accumulator.enabled) {
-    cfg.mars.rca.accumulator.enabled = *rca.accumulator.enabled;
-  }
-  if (rca.accumulator.half_life_s) {
-    cfg.mars.rca.accumulator.half_life =
-        seconds_to_time(*rca.accumulator.half_life_s);
-  }
-  if (rca.accumulator.max_windows) {
-    cfg.mars.rca.accumulator.max_windows = *rca.accumulator.max_windows;
-  }
-  if (rca.single_window) {
-    cfg.mars.rca.single_window = *rca.single_window;
-  }
-  if (obs.log_level) {
-    const auto level = obs::level_from_name(*obs.log_level);
-    if (!level) {
-      throw std::invalid_argument("unknown log level '" + *obs.log_level +
-                                  "' (known: debug, info, warn, error)");
-    }
-    cfg.obs.log_level = *level;
-  }
-  if (obs.log_rate_limit_per_s) {
-    cfg.obs.log_rate_limit_per_s = *obs.log_rate_limit_per_s;
-  }
-  if (obs.log_rate_limit_burst) {
-    cfg.obs.log_rate_limit_burst = *obs.log_rate_limit_burst;
-  }
-  if (obs.flight_recorder.enabled) {
-    cfg.obs.flight_recorder = *obs.flight_recorder.enabled;
-  }
-  if (obs.flight_recorder.capacity) {
-    cfg.obs.flight_capacity = *obs.flight_recorder.capacity;
-  }
-  if (obs.flight_recorder.confidence_threshold) {
-    cfg.obs.flight_confidence_threshold =
-        *obs.flight_recorder.confidence_threshold;
-  }
-  if (obs.provenance) cfg.obs.provenance = *obs.provenance;
-  if (sim.shards) cfg.sim.shards = *sim.shards;
-  if (sim.control_latency_s) {
-    cfg.sim.control_latency = seconds_to_time(*sim.control_latency_s);
-  }
-
-  cfg.faults.events.clear();
-  for (const Fault& fault : faults) {
-    const auto kind = faults::kind_from_name(fault.kind);
-    if (!kind) {
-      throw std::invalid_argument("unknown fault kind '" + fault.kind +
-                                  "' (known: " +
-                                  faults::known_kind_names() + ")");
-    }
-    faults::FaultEvent event;
-    event.kind = *kind;
-    event.at = seconds_to_time(fault.at_s);
-    if (fault.duration_s) event.duration = seconds_to_time(*fault.duration_s);
-    event.target_switch = fault.target_switch;
-    event.target_port = fault.target_port;
-    event.gray.flap_mean_up_ms = fault.gray.mean_up_ms;
-    event.gray.flap_mean_down_ms = fault.gray.mean_down_ms;
-    event.gray.flap_fanout = fault.gray.fanout;
-    event.gray.loss_fwd = fault.gray.loss_fwd;
-    event.gray.loss_rev = fault.gray.loss_rev;
-    event.gray.drain_us_per_pkt = fault.gray.drain_us_per_pkt;
-    event.gray.gate_depth = fault.gray.gate_depth;
-    event.gray.gate_delay_ms = fault.gray.gate_delay_ms;
-    cfg.faults.add(event);
-  }
+  spec_table().lower(*this, "spec", cfg);
   return cfg;
 }
 
 std::vector<std::string> ScenarioSpec::validate() const {
   std::vector<std::string> errors;
-  if (sim.shards && (*sim.shards < 1 || *sim.shards > 64)) {
-    errors.push_back("spec.sim.shards must be in [1, 64] (got " +
-                     std::to_string(*sim.shards) + ")");
-  }
-  if (telemetry.backend &&
-      !telemetry::backend_from_name(*telemetry.backend)) {
-    std::string msg = "spec.telemetry.backend: unknown backend '" +
-                      *telemetry.backend + "' (known:";
-    for (const auto& n : telemetry::known_backend_names()) msg += " " + n;
-    msg += ")";
-    const std::string hint = telemetry::suggest_backend(*telemetry.backend);
-    if (!hint.empty()) msg += "; did you mean '" + hint + "'?";
-    errors.push_back(std::move(msg));
-  }
-  if (telemetry.path_id.hash &&
-      !telemetry::hash_from_name(*telemetry.path_id.hash)) {
-    errors.push_back("spec.telemetry.path_id.hash: unknown hash '" +
-                     *telemetry.path_id.hash + "' (known: crc16, crc32)");
-  }
-  if (telemetry.path_id.width_bits && (*telemetry.path_id.width_bits < 1 ||
-                                       *telemetry.path_id.width_bits > 32)) {
-    errors.push_back("spec.telemetry.path_id.width_bits must be in [1, 32] "
-                     "(got " + std::to_string(*telemetry.path_id.width_bits) +
-                     ")");
-  }
-  if (obs.log_level && !obs::level_from_name(*obs.log_level)) {
-    errors.push_back("spec.obs.log_level: unknown level '" + *obs.log_level +
-                     "' (known: debug, info, warn, error)");
-  }
-  if (obs.log_rate_limit_per_s && *obs.log_rate_limit_per_s <= 0.0) {
-    errors.push_back("spec.obs.log_rate_limit_per_s must be positive (got " +
-                     std::to_string(*obs.log_rate_limit_per_s) + ")");
-  }
-  if (obs.log_rate_limit_burst && *obs.log_rate_limit_burst == 0) {
-    errors.push_back("spec.obs.log_rate_limit_burst must be nonzero");
-  }
-  if (obs.flight_recorder.capacity && *obs.flight_recorder.capacity == 0) {
-    errors.push_back("spec.obs.flight_recorder.capacity must be nonzero");
-  }
-  if (obs.flight_recorder.confidence_threshold &&
-      (*obs.flight_recorder.confidence_threshold < 0.0 ||
-       *obs.flight_recorder.confidence_threshold > 1.0)) {
-    errors.push_back(
-        "spec.obs.flight_recorder.confidence_threshold must be in [0, 1] "
-        "(got " +
-        std::to_string(*obs.flight_recorder.confidence_threshold) + ")");
-  }
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (!faults::kind_from_name(faults[i].kind)) {
-      errors.push_back("faults[" + std::to_string(i) +
-                       "]: unknown fault kind '" + faults[i].kind +
-                       "' (known: " + faults::known_kind_names() + ")");
-    }
-  }
+  spec_table().check(*this, "spec", errors);
   if (!errors.empty()) return errors;  // cannot lower the spec yet
   try {
     const auto more = validate_scenario(to_config());
@@ -402,195 +650,7 @@ std::vector<std::string> ScenarioSpec::validate() const {
 std::string to_json(const ScenarioSpec& spec, int indent) {
   std::ostringstream out;
   obs::JsonWriter w(out, indent);
-  w.begin_object();
-  w.member("name", spec.name);
-
-  w.key("topology").begin_object();
-  w.member("name", spec.topology);
-  if (spec.k) w.member("k", std::int64_t{*spec.k});
-  if (spec.leaves) w.member("leaves", std::int64_t{*spec.leaves});
-  if (spec.spines) w.member("spines", std::int64_t{*spec.spines});
-  if (spec.edge_gbps) w.member("edge_gbps", *spec.edge_gbps);
-  if (spec.core_gbps) w.member("core_gbps", *spec.core_gbps);
-  if (spec.propagation_us) w.member("propagation_us", *spec.propagation_us);
-  w.end_object();
-
-  if (spec.queue_capacity) {
-    w.member("queue_capacity", std::uint64_t{*spec.queue_capacity});
-  }
-  if (spec.flows || spec.pps || spec.inter_pod_fraction) {
-    w.key("background").begin_object();
-    if (spec.flows) w.member("flows", std::int64_t{*spec.flows});
-    if (spec.pps) w.member("pps", *spec.pps);
-    if (spec.inter_pod_fraction) {
-      w.member("inter_pod_fraction", *spec.inter_pod_fraction);
-    }
-    w.end_object();
-  }
-  if (spec.duration_s) w.member("duration_s", *spec.duration_s);
-  if (spec.channel.any_set()) {
-    const auto& ch = spec.channel;
-    w.key("channel").begin_object();
-    if (ch.notification_loss) {
-      w.member("notification_loss", *ch.notification_loss);
-    }
-    if (ch.notification_delay_prob) {
-      w.member("notification_delay_prob", *ch.notification_delay_prob);
-    }
-    if (ch.notification_delay_min_s) {
-      w.member("notification_delay_min_s", *ch.notification_delay_min_s);
-    }
-    if (ch.notification_delay_max_s) {
-      w.member("notification_delay_max_s", *ch.notification_delay_max_s);
-    }
-    if (ch.read_failure) w.member("read_failure", *ch.read_failure);
-    if (ch.record_loss) w.member("record_loss", *ch.record_loss);
-    if (ch.record_corruption) {
-      w.member("record_corruption", *ch.record_corruption);
-    }
-    if (ch.read_deadline_s) w.member("read_deadline_s", *ch.read_deadline_s);
-    if (ch.retry_backoff_s) w.member("retry_backoff_s", *ch.retry_backoff_s);
-    if (ch.max_read_retries) {
-      w.member("max_read_retries", std::uint64_t{*ch.max_read_retries});
-    }
-    w.end_object();
-  }
-  if (spec.telemetry.any_set()) {
-    const auto& te = spec.telemetry;
-    w.key("telemetry").begin_object();
-    if (te.backend) w.member("backend", *te.backend);
-    if (te.ring_capacity) {
-      w.member("ring_capacity", std::uint64_t{*te.ring_capacity});
-    }
-    if (te.int_md.any_set()) {
-      w.key("int_md").begin_object();
-      if (te.int_md.sample_every) {
-        w.member("sample_every", std::uint64_t{*te.int_md.sample_every});
-      }
-      if (te.int_md.max_hops) {
-        w.member("max_hops", std::uint64_t{*te.int_md.max_hops});
-      }
-      w.end_object();
-    }
-    if (te.histogram.any_set()) {
-      const auto& h = te.histogram;
-      w.key("histogram").begin_object();
-      if (h.buckets) w.member("buckets", std::uint64_t{*h.buckets});
-      if (h.sub_bucket_bits) {
-        w.member("sub_bucket_bits", std::uint64_t{*h.sub_bucket_bits});
-      }
-      if (h.tail_latency_ms) w.member("tail_latency_ms", *h.tail_latency_ms);
-      if (h.trigger_enter) w.member("trigger_enter", *h.trigger_enter);
-      if (h.trigger_exit) w.member("trigger_exit", *h.trigger_exit);
-      if (h.digest_capacity) {
-        w.member("digest_capacity", std::uint64_t{*h.digest_capacity});
-      }
-      w.end_object();
-    }
-    if (te.path_id.any_set()) {
-      w.key("path_id").begin_object();
-      if (te.path_id.hash) w.member("hash", *te.path_id.hash);
-      if (te.path_id.width_bits) {
-        w.member("width_bits", std::uint64_t{*te.path_id.width_bits});
-      }
-      w.end_object();
-    }
-    w.end_object();
-  }
-  if (spec.mining.any_set()) {
-    w.key("mining").begin_object();
-    if (spec.mining.threads) {
-      w.member("threads", std::uint64_t{*spec.mining.threads});
-    }
-    w.end_object();
-  }
-  if (spec.rca.any_set()) {
-    const auto& acc = spec.rca.accumulator;
-    w.key("rca").begin_object();
-    w.key("accumulator").begin_object();
-    if (acc.enabled) w.member("enabled", *acc.enabled);
-    if (acc.half_life_s) w.member("half_life_s", *acc.half_life_s);
-    if (acc.max_windows) {
-      w.member("max_windows", std::uint64_t{*acc.max_windows});
-    }
-    w.end_object();
-    if (spec.rca.single_window) {
-      w.member("single_window", *spec.rca.single_window);
-    }
-    w.end_object();
-  }
-  if (spec.sim.any_set()) {
-    w.key("sim").begin_object();
-    if (spec.sim.shards) w.member("shards", std::int64_t{*spec.sim.shards});
-    if (spec.sim.control_latency_s) {
-      w.member("control_latency_s", *spec.sim.control_latency_s);
-    }
-    w.end_object();
-  }
-  if (spec.obs.any_set()) {
-    const auto& ob = spec.obs;
-    w.key("obs").begin_object();
-    if (ob.log_level) w.member("log_level", *ob.log_level);
-    if (ob.log_rate_limit_per_s) {
-      w.member("log_rate_limit_per_s", *ob.log_rate_limit_per_s);
-    }
-    if (ob.log_rate_limit_burst) {
-      w.member("log_rate_limit_burst", std::uint64_t{*ob.log_rate_limit_burst});
-    }
-    if (ob.flight_recorder.any_set()) {
-      w.key("flight_recorder").begin_object();
-      if (ob.flight_recorder.enabled) {
-        w.member("enabled", *ob.flight_recorder.enabled);
-      }
-      if (ob.flight_recorder.capacity) {
-        w.member("capacity", std::uint64_t{*ob.flight_recorder.capacity});
-      }
-      if (ob.flight_recorder.confidence_threshold) {
-        w.member("confidence_threshold",
-                 *ob.flight_recorder.confidence_threshold);
-      }
-      w.end_object();
-    }
-    if (ob.provenance) w.member("provenance", *ob.provenance);
-    w.end_object();
-  }
-  w.member("seed", std::uint64_t{spec.seed});
-  if (spec.systems) {
-    w.key("systems").begin_array();
-    for (const auto& name : *spec.systems) w.value(name);
-    w.end_array();
-  }
-  w.key("faults").begin_array();
-  for (const auto& fault : spec.faults) {
-    w.begin_object();
-    w.member("kind", fault.kind);
-    w.member("at_s", fault.at_s);
-    if (fault.duration_s) w.member("duration_s", *fault.duration_s);
-    if (fault.target_switch) {
-      w.member("target_switch", std::uint64_t{*fault.target_switch});
-    }
-    if (fault.target_port) {
-      w.member("target_port", std::uint64_t{*fault.target_port});
-    }
-    if (fault.gray.any_set()) {
-      const auto& g = fault.gray;
-      w.key("gray").begin_object();
-      if (g.mean_up_ms) w.member("mean_up_ms", *g.mean_up_ms);
-      if (g.mean_down_ms) w.member("mean_down_ms", *g.mean_down_ms);
-      if (g.fanout) w.member("fanout", std::int64_t{*g.fanout});
-      if (g.loss_fwd) w.member("loss_fwd", *g.loss_fwd);
-      if (g.loss_rev) w.member("loss_rev", *g.loss_rev);
-      if (g.drain_us_per_pkt) {
-        w.member("drain_us_per_pkt", *g.drain_us_per_pkt);
-      }
-      if (g.gate_depth) w.member("gate_depth", std::uint64_t{*g.gate_depth});
-      if (g.gate_delay_ms) w.member("gate_delay_ms", *g.gate_delay_ms);
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
+  spec_table().serialize(w, spec);
   return out.str();
 }
 
@@ -604,293 +664,7 @@ ScenarioSpec parse_scenario_spec(std::string_view json) {
   if (!doc.is_object()) {
     throw std::invalid_argument("spec: expected a top-level JSON object");
   }
-  reject_unknown_keys(doc,
-                      {"name", "topology", "queue_capacity", "background",
-                       "duration_s", "seed", "systems", "faults", "channel",
-                       "telemetry", "mining", "rca", "sim", "obs"},
-                      "spec");
-
-  ScenarioSpec spec;
-  if (const auto* name = doc.find("name")) {
-    spec.name = as_string(*name, "spec.name");
-  }
-  if (const auto* topo = doc.find("topology")) {
-    if (!topo->is_object()) fail("spec.topology", "expected an object");
-    reject_unknown_keys(*topo,
-                        {"name", "k", "leaves", "spines", "edge_gbps",
-                         "core_gbps", "propagation_us"},
-                        "spec.topology");
-    if (const auto* n = topo->find("name")) {
-      spec.topology = as_string(*n, "spec.topology.name");
-    }
-    if (const auto* k = topo->find("k")) {
-      spec.k = as_count(*k, "spec.topology.k");
-    }
-    if (const auto* leaves = topo->find("leaves")) {
-      spec.leaves = as_count(*leaves, "spec.topology.leaves");
-    }
-    if (const auto* spines = topo->find("spines")) {
-      spec.spines = as_count(*spines, "spec.topology.spines");
-    }
-    if (const auto* e = topo->find("edge_gbps")) {
-      spec.edge_gbps = as_number(*e, "spec.topology.edge_gbps");
-    }
-    if (const auto* c = topo->find("core_gbps")) {
-      spec.core_gbps = as_number(*c, "spec.topology.core_gbps");
-    }
-    if (const auto* p = topo->find("propagation_us")) {
-      spec.propagation_us = as_number(*p, "spec.topology.propagation_us");
-    }
-  }
-  if (const auto* qc = doc.find("queue_capacity")) {
-    spec.queue_capacity =
-        static_cast<std::uint32_t>(as_uint(*qc, "spec.queue_capacity"));
-  }
-  if (const auto* bg = doc.find("background")) {
-    if (!bg->is_object()) fail("spec.background", "expected an object");
-    reject_unknown_keys(*bg, {"flows", "pps", "inter_pod_fraction"},
-                        "spec.background");
-    if (const auto* flows = bg->find("flows")) {
-      spec.flows = as_count(*flows, "spec.background.flows");
-    }
-    if (const auto* pps = bg->find("pps")) {
-      spec.pps = as_number(*pps, "spec.background.pps");
-    }
-    if (const auto* f = bg->find("inter_pod_fraction")) {
-      spec.inter_pod_fraction =
-          as_number(*f, "spec.background.inter_pod_fraction");
-    }
-  }
-  if (const auto* d = doc.find("duration_s")) {
-    spec.duration_s = as_number(*d, "spec.duration_s");
-  }
-  if (const auto* ch = doc.find("channel")) {
-    if (!ch->is_object()) fail("spec.channel", "expected an object");
-    reject_unknown_keys(
-        *ch,
-        {"notification_loss", "notification_delay_prob",
-         "notification_delay_min_s", "notification_delay_max_s",
-         "read_failure", "record_loss", "record_corruption",
-         "read_deadline_s", "retry_backoff_s", "max_read_retries"},
-        "spec.channel");
-    if (const auto* v = ch->find("notification_loss")) {
-      spec.channel.notification_loss =
-          as_number(*v, "spec.channel.notification_loss");
-    }
-    if (const auto* v = ch->find("notification_delay_prob")) {
-      spec.channel.notification_delay_prob =
-          as_number(*v, "spec.channel.notification_delay_prob");
-    }
-    if (const auto* v = ch->find("notification_delay_min_s")) {
-      spec.channel.notification_delay_min_s =
-          as_number(*v, "spec.channel.notification_delay_min_s");
-    }
-    if (const auto* v = ch->find("notification_delay_max_s")) {
-      spec.channel.notification_delay_max_s =
-          as_number(*v, "spec.channel.notification_delay_max_s");
-    }
-    if (const auto* v = ch->find("read_failure")) {
-      spec.channel.read_failure = as_number(*v, "spec.channel.read_failure");
-    }
-    if (const auto* v = ch->find("record_loss")) {
-      spec.channel.record_loss = as_number(*v, "spec.channel.record_loss");
-    }
-    if (const auto* v = ch->find("record_corruption")) {
-      spec.channel.record_corruption =
-          as_number(*v, "spec.channel.record_corruption");
-    }
-    if (const auto* v = ch->find("read_deadline_s")) {
-      spec.channel.read_deadline_s =
-          as_number(*v, "spec.channel.read_deadline_s");
-    }
-    if (const auto* v = ch->find("retry_backoff_s")) {
-      spec.channel.retry_backoff_s =
-          as_number(*v, "spec.channel.retry_backoff_s");
-    }
-    if (const auto* v = ch->find("max_read_retries")) {
-      spec.channel.max_read_retries = static_cast<std::uint32_t>(
-          as_uint(*v, "spec.channel.max_read_retries"));
-    }
-  }
-  if (const auto* te = doc.find("telemetry")) {
-    if (!te->is_object()) fail("spec.telemetry", "expected an object");
-    reject_unknown_keys(
-        *te, {"backend", "ring_capacity", "int_md", "histogram", "path_id"},
-        "spec.telemetry");
-    if (const auto* v = te->find("backend")) {
-      spec.telemetry.backend = as_string(*v, "spec.telemetry.backend");
-    }
-    if (const auto* v = te->find("ring_capacity")) {
-      spec.telemetry.ring_capacity = static_cast<std::uint32_t>(
-          as_uint(*v, "spec.telemetry.ring_capacity"));
-    }
-    if (const auto* im = te->find("int_md")) {
-      if (!im->is_object()) fail("spec.telemetry.int_md", "expected an object");
-      reject_unknown_keys(*im, {"sample_every", "max_hops"},
-                          "spec.telemetry.int_md");
-      if (const auto* v = im->find("sample_every")) {
-        spec.telemetry.int_md.sample_every = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.int_md.sample_every"));
-      }
-      if (const auto* v = im->find("max_hops")) {
-        spec.telemetry.int_md.max_hops = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.int_md.max_hops"));
-      }
-    }
-    if (const auto* hi = te->find("histogram")) {
-      if (!hi->is_object()) {
-        fail("spec.telemetry.histogram", "expected an object");
-      }
-      reject_unknown_keys(*hi,
-                          {"buckets", "sub_bucket_bits", "tail_latency_ms",
-                           "trigger_enter", "trigger_exit", "digest_capacity"},
-                          "spec.telemetry.histogram");
-      if (const auto* v = hi->find("buckets")) {
-        spec.telemetry.histogram.buckets = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.histogram.buckets"));
-      }
-      if (const auto* v = hi->find("sub_bucket_bits")) {
-        spec.telemetry.histogram.sub_bucket_bits = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.histogram.sub_bucket_bits"));
-      }
-      if (const auto* v = hi->find("tail_latency_ms")) {
-        spec.telemetry.histogram.tail_latency_ms =
-            as_number(*v, "spec.telemetry.histogram.tail_latency_ms");
-      }
-      if (const auto* v = hi->find("trigger_enter")) {
-        spec.telemetry.histogram.trigger_enter =
-            as_number(*v, "spec.telemetry.histogram.trigger_enter");
-      }
-      if (const auto* v = hi->find("trigger_exit")) {
-        spec.telemetry.histogram.trigger_exit =
-            as_number(*v, "spec.telemetry.histogram.trigger_exit");
-      }
-      if (const auto* v = hi->find("digest_capacity")) {
-        spec.telemetry.histogram.digest_capacity = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.histogram.digest_capacity"));
-      }
-    }
-    if (const auto* pid = te->find("path_id")) {
-      if (!pid->is_object()) {
-        fail("spec.telemetry.path_id", "expected an object");
-      }
-      reject_unknown_keys(*pid, {"hash", "width_bits"},
-                          "spec.telemetry.path_id");
-      if (const auto* v = pid->find("hash")) {
-        spec.telemetry.path_id.hash =
-            as_string(*v, "spec.telemetry.path_id.hash");
-      }
-      if (const auto* v = pid->find("width_bits")) {
-        spec.telemetry.path_id.width_bits = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.path_id.width_bits"));
-      }
-    }
-  }
-  if (const auto* mining = doc.find("mining")) {
-    if (!mining->is_object()) fail("spec.mining", "expected an object");
-    reject_unknown_keys(*mining, {"threads"}, "spec.mining");
-    if (const auto* v = mining->find("threads")) {
-      spec.mining.threads =
-          static_cast<std::uint32_t>(as_uint(*v, "spec.mining.threads"));
-    }
-  }
-  if (const auto* rca = doc.find("rca")) {
-    if (!rca->is_object()) fail("spec.rca", "expected an object");
-    reject_unknown_keys(*rca, {"accumulator", "single_window"}, "spec.rca");
-    if (const auto* acc = rca->find("accumulator")) {
-      if (!acc->is_object()) {
-        fail("spec.rca.accumulator", "expected an object");
-      }
-      reject_unknown_keys(*acc, {"enabled", "half_life_s", "max_windows"},
-                          "spec.rca.accumulator");
-      if (const auto* v = acc->find("enabled")) {
-        spec.rca.accumulator.enabled =
-            as_bool(*v, "spec.rca.accumulator.enabled");
-      }
-      if (const auto* v = acc->find("half_life_s")) {
-        spec.rca.accumulator.half_life_s =
-            as_number(*v, "spec.rca.accumulator.half_life_s");
-      }
-      if (const auto* v = acc->find("max_windows")) {
-        spec.rca.accumulator.max_windows = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.rca.accumulator.max_windows"));
-      }
-    }
-    if (const auto* v = rca->find("single_window")) {
-      spec.rca.single_window = as_bool(*v, "spec.rca.single_window");
-    }
-  }
-  if (const auto* sim = doc.find("sim")) {
-    if (!sim->is_object()) fail("spec.sim", "expected an object");
-    reject_unknown_keys(*sim, {"shards", "control_latency_s"}, "spec.sim");
-    if (const auto* v = sim->find("shards")) {
-      spec.sim.shards = as_count(*v, "spec.sim.shards");
-    }
-    if (const auto* v = sim->find("control_latency_s")) {
-      spec.sim.control_latency_s = as_number(*v, "spec.sim.control_latency_s");
-    }
-  }
-  if (const auto* ob = doc.find("obs")) {
-    if (!ob->is_object()) fail("spec.obs", "expected an object");
-    reject_unknown_keys(*ob,
-                        {"log_level", "log_rate_limit_per_s",
-                         "log_rate_limit_burst", "flight_recorder",
-                         "provenance"},
-                        "spec.obs");
-    if (const auto* v = ob->find("log_level")) {
-      spec.obs.log_level = as_string(*v, "spec.obs.log_level");
-    }
-    if (const auto* v = ob->find("log_rate_limit_per_s")) {
-      spec.obs.log_rate_limit_per_s =
-          as_number(*v, "spec.obs.log_rate_limit_per_s");
-    }
-    if (const auto* v = ob->find("log_rate_limit_burst")) {
-      spec.obs.log_rate_limit_burst = static_cast<std::uint32_t>(
-          as_uint(*v, "spec.obs.log_rate_limit_burst"));
-    }
-    if (const auto* fr = ob->find("flight_recorder")) {
-      if (!fr->is_object()) {
-        fail("spec.obs.flight_recorder", "expected an object");
-      }
-      reject_unknown_keys(*fr, {"enabled", "capacity", "confidence_threshold"},
-                          "spec.obs.flight_recorder");
-      if (const auto* v = fr->find("enabled")) {
-        spec.obs.flight_recorder.enabled =
-            as_bool(*v, "spec.obs.flight_recorder.enabled");
-      }
-      if (const auto* v = fr->find("capacity")) {
-        spec.obs.flight_recorder.capacity = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.obs.flight_recorder.capacity"));
-      }
-      if (const auto* v = fr->find("confidence_threshold")) {
-        spec.obs.flight_recorder.confidence_threshold =
-            as_number(*v, "spec.obs.flight_recorder.confidence_threshold");
-      }
-    }
-    if (const auto* v = ob->find("provenance")) {
-      spec.obs.provenance = as_bool(*v, "spec.obs.provenance");
-    }
-  }
-  if (const auto* seed = doc.find("seed")) {
-    spec.seed = as_uint(*seed, "spec.seed");
-  }
-  if (const auto* systems = doc.find("systems")) {
-    if (!systems->is_array()) fail("spec.systems", "expected an array");
-    std::vector<std::string> names;
-    for (std::size_t i = 0; i < systems->size(); ++i) {
-      names.push_back(as_string(systems->at(i),
-                                "spec.systems[" + std::to_string(i) + "]"));
-    }
-    spec.systems = std::move(names);
-  }
-  if (const auto* faults = doc.find("faults")) {
-    if (!faults->is_array()) fail("spec.faults", "expected an array");
-    for (std::size_t i = 0; i < faults->size(); ++i) {
-      spec.faults.push_back(parse_fault(
-          faults->at(i), "spec.faults[" + std::to_string(i) + "]"));
-    }
-  }
-  return spec;
+  return spec_table().parse(doc, "spec");
 }
 
 ScenarioSpec load_scenario_spec(const std::string& path) {

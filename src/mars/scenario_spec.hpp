@@ -13,6 +13,10 @@
 // default_scenario(kProcessRateDecrease, 7). serialize/parse are exact
 // inverses on the spec's set fields (round-trip fixed point), which keeps
 // specs diffable and machine-rewritable for sweeps.
+//
+// A new field is a member here plus one row of the field table in
+// scenario_spec.cpp; that row alone drives its parsing, serialization,
+// lowering and range checks.
 
 #include <optional>
 #include <string>
@@ -68,10 +72,7 @@ struct ScenarioSpec {
       std::optional<std::uint32_t> gate_depth;  ///< gateddelay threshold
       std::optional<double> gate_delay_ms;      ///< gateddelay latency
 
-      [[nodiscard]] bool any_set() const {
-        return mean_up_ms || mean_down_ms || fanout || loss_fwd ||
-               loss_rev || drain_us_per_pkt || gate_depth || gate_delay_ms;
-      }
+      [[nodiscard]] bool any_set() const { return *this != Gray{}; }
       friend bool operator==(const Gray&, const Gray&) = default;
     };
     Gray gray;
@@ -96,12 +97,7 @@ struct ScenarioSpec {
     std::optional<double> retry_backoff_s;
     std::optional<std::uint32_t> max_read_retries;
 
-    [[nodiscard]] bool any_set() const {
-      return notification_loss || notification_delay_prob ||
-             notification_delay_min_s || notification_delay_max_s ||
-             read_failure || record_loss || record_corruption ||
-             read_deadline_s || retry_backoff_s || max_read_retries;
-    }
+    [[nodiscard]] bool any_set() const { return *this != Channel{}; }
     friend bool operator==(const Channel&, const Channel&) = default;
   };
   Channel channel;
@@ -119,7 +115,7 @@ struct ScenarioSpec {
       std::optional<std::uint32_t> sample_every;
       std::optional<std::uint32_t> max_hops;
 
-      [[nodiscard]] bool any_set() const { return sample_every || max_hops; }
+      [[nodiscard]] bool any_set() const { return *this != IntMd{}; }
       friend bool operator==(const IntMd&, const IntMd&) = default;
     };
     IntMd int_md;
@@ -131,10 +127,7 @@ struct ScenarioSpec {
       std::optional<double> trigger_exit;
       std::optional<std::uint32_t> digest_capacity;
 
-      [[nodiscard]] bool any_set() const {
-        return buckets || sub_bucket_bits || tail_latency_ms ||
-               trigger_enter || trigger_exit || digest_capacity;
-      }
+      [[nodiscard]] bool any_set() const { return *this != Histogram{}; }
       friend bool operator==(const Histogram&, const Histogram&) = default;
     };
     Histogram histogram;
@@ -145,15 +138,12 @@ struct ScenarioSpec {
       std::optional<std::string> hash;  ///< telemetry::hash_from_name
       std::optional<std::uint32_t> width_bits;
 
-      [[nodiscard]] bool any_set() const { return hash || width_bits; }
+      [[nodiscard]] bool any_set() const { return *this != PathId{}; }
       friend bool operator==(const PathId&, const PathId&) = default;
     };
     PathId path_id;
 
-    [[nodiscard]] bool any_set() const {
-      return backend || ring_capacity || int_md.any_set() ||
-             histogram.any_set() || path_id.any_set();
-    }
+    [[nodiscard]] bool any_set() const { return *this != Telemetry{}; }
     friend bool operator==(const Telemetry&, const Telemetry&) = default;
   };
   Telemetry telemetry;
@@ -163,7 +153,7 @@ struct ScenarioSpec {
   struct Mining {
     std::optional<std::uint32_t> threads;
 
-    [[nodiscard]] bool any_set() const { return threads.has_value(); }
+    [[nodiscard]] bool any_set() const { return *this != Mining{}; }
     friend bool operator==(const Mining&, const Mining&) = default;
   };
   Mining mining;
@@ -177,9 +167,7 @@ struct ScenarioSpec {
       std::optional<double> half_life_s;
       std::optional<std::uint32_t> max_windows;
 
-      [[nodiscard]] bool any_set() const {
-        return enabled || half_life_s || max_windows;
-      }
+      [[nodiscard]] bool any_set() const { return *this != Accumulator{}; }
       friend bool operator==(const Accumulator&,
                              const Accumulator&) = default;
     };
@@ -189,9 +177,7 @@ struct ScenarioSpec {
     /// against. Ignored when the accumulator is enabled.
     std::optional<bool> single_window;
 
-    [[nodiscard]] bool any_set() const {
-      return accumulator.any_set() || single_window.has_value();
-    }
+    [[nodiscard]] bool any_set() const { return *this != Rca{}; }
     friend bool operator==(const Rca&, const Rca&) = default;
   };
   Rca rca;
@@ -203,9 +189,7 @@ struct ScenarioSpec {
     std::optional<int> shards;                 ///< must be in [1, 64]
     std::optional<double> control_latency_s;   ///< notification latency
 
-    [[nodiscard]] bool any_set() const {
-      return shards || control_latency_s;
-    }
+    [[nodiscard]] bool any_set() const { return *this != Sim{}; }
     friend bool operator==(const Sim&, const Sim&) = default;
   };
   Sim sim;
@@ -223,19 +207,14 @@ struct ScenarioSpec {
       std::optional<std::uint32_t> capacity;
       std::optional<double> confidence_threshold;
 
-      [[nodiscard]] bool any_set() const {
-        return enabled || capacity || confidence_threshold;
-      }
+      [[nodiscard]] bool any_set() const { return *this != FlightRecorder{}; }
       friend bool operator==(const FlightRecorder&,
                              const FlightRecorder&) = default;
     };
     FlightRecorder flight_recorder;
     std::optional<bool> provenance;
 
-    [[nodiscard]] bool any_set() const {
-      return log_level || log_rate_limit_per_s || log_rate_limit_burst ||
-             flight_recorder.any_set() || provenance;
-    }
+    [[nodiscard]] bool any_set() const { return *this != Obs{}; }
     friend bool operator==(const Obs&, const Obs&) = default;
   };
   Obs obs;

@@ -263,10 +263,15 @@ double JsonValue::as_number() const {
   return number_;
 }
 
+// Range ends are 2^64 and 2^63, exact in a double; a value outside the
+// target type is an error, not an undefined-behaviour cast.
 std::uint64_t JsonValue::as_uint() const {
   const double n = as_number();
   if (n < 0 || n != std::floor(n)) {
     throw std::runtime_error("expected a non-negative integer");
+  }
+  if (n >= std::ldexp(1.0, 64)) {
+    throw std::runtime_error("integer out of range for uint64");
   }
   return static_cast<std::uint64_t>(n);
 }
@@ -274,6 +279,9 @@ std::uint64_t JsonValue::as_uint() const {
 std::int64_t JsonValue::as_int() const {
   const double n = as_number();
   if (n != std::floor(n)) throw std::runtime_error("expected an integer");
+  if (n < -std::ldexp(1.0, 63) || n >= std::ldexp(1.0, 63)) {
+    throw std::runtime_error("integer out of range for int64");
+  }
   return static_cast<std::int64_t>(n);
 }
 

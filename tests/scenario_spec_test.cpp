@@ -9,6 +9,9 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "obs/json_reader.hpp"
 
 namespace mars {
 namespace {
@@ -21,6 +24,7 @@ ScenarioSpec full_spec() {
   spec.spines = 3;
   spec.edge_gbps = 0.008;
   spec.core_gbps = 0.012;
+  spec.propagation_us = 2.5;
   spec.queue_capacity = 2048;
   spec.flows = 24;
   spec.pps = 180.0;
@@ -39,6 +43,28 @@ ScenarioSpec full_spec() {
   delay.kind = "delay";
   delay.at_s = 3.0;
   spec.faults.push_back(delay);
+  ScenarioSpec::Fault gray;
+  gray.kind = "flap";
+  gray.at_s = 3.5;
+  gray.gray.mean_up_ms = 90.0;
+  gray.gray.mean_down_ms = 45.0;
+  gray.gray.fanout = 2;
+  gray.gray.loss_fwd = 0.3;
+  gray.gray.loss_rev = 0.1;
+  gray.gray.drain_us_per_pkt = 150.0;
+  gray.gray.gate_depth = 12;
+  gray.gray.gate_delay_ms = 4.0;
+  spec.faults.push_back(gray);
+  spec.channel.notification_loss = 0.1;
+  spec.channel.notification_delay_prob = 0.05;
+  spec.channel.notification_delay_min_s = 0.001;
+  spec.channel.notification_delay_max_s = 0.02;
+  spec.channel.read_failure = 0.2;
+  spec.channel.record_loss = 0.01;
+  spec.channel.record_corruption = 0.02;
+  spec.channel.read_deadline_s = 0.05;
+  spec.channel.retry_backoff_s = 0.01;
+  spec.channel.max_read_retries = 3;
   spec.telemetry.backend = "int-md";
   spec.telemetry.ring_capacity = 512;
   spec.telemetry.int_md.sample_every = 2;
@@ -58,6 +84,13 @@ ScenarioSpec full_spec() {
   spec.obs.flight_recorder.capacity = 128;
   spec.obs.flight_recorder.confidence_threshold = 0.9;
   spec.obs.provenance = true;
+  spec.mining.threads = 2;
+  spec.rca.accumulator.enabled = true;
+  spec.rca.accumulator.half_life_s = 2.0;
+  spec.rca.accumulator.max_windows = 16;
+  spec.rca.single_window = false;
+  spec.sim.shards = 1;
+  spec.sim.control_latency_s = 0.002;
   return spec;
 }
 
@@ -134,6 +167,44 @@ TEST(ScenarioSpecTest, MalformedJsonReportsPosition) {
 
 TEST(ScenarioSpecTest, NegativeSeedIsRejected) {
   EXPECT_THROW(parse_scenario_spec(R"({"seed": -1})"), std::invalid_argument);
+}
+
+TEST(ScenarioSpecTest, IntegersOutsideTheirTypeAreRejectedWithTheirPath) {
+  // Each value fits a JSON number but not the member it narrows to; the
+  // parse must fail naming the field instead of wrapping or truncating.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"telemetry": {"path_id": {"width_bits": 4294967312}}})",
+       "spec.telemetry.path_id.width_bits"},
+      {R"({"faults": [{"kind": "drop", "target_port": 65537}]})",
+       "spec.faults[0].target_port"},
+      {R"({"faults": [{"kind": "drop", "target_switch": 4294967300}]})",
+       "spec.faults[0].target_switch"},
+      {R"({"queue_capacity": 4294967296})", "spec.queue_capacity"},
+      {R"({"topology": {"k": 1e10}})", "spec.topology.k"},
+      {R"({"sim": {"shards": -3000000000}})", "spec.sim.shards"},
+      {R"({"seed": 1e20})", "spec.seed"},
+  };
+  for (const auto& [json, path] : cases) {
+    try {
+      (void)parse_scenario_spec(json);
+      ADD_FAILURE() << "expected invalid_argument for " << json;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest value of each type still parses.
+  const ScenarioSpec edge = parse_scenario_spec(
+      R"({"queue_capacity": 4294967295, "faults": [{"target_port": 65535}]})");
+  EXPECT_EQ(edge.queue_capacity, 4294967295u);
+  EXPECT_EQ(edge.faults.at(0).target_port, 65535u);
+  // The JSON reader's own integer accessors are range-checked too.
+  EXPECT_THROW((void)obs::JsonValue::parse("1e20").as_uint(),
+               std::runtime_error);
+  EXPECT_THROW((void)obs::JsonValue::parse("-1e19").as_int(),
+               std::runtime_error);
+  EXPECT_EQ(obs::JsonValue::parse("-9007199254740992").as_int(),
+            -9007199254740992LL);
 }
 
 TEST(ScenarioSpecTest, ValidateFlagsEveryUnknownName) {
