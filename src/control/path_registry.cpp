@@ -1,9 +1,13 @@
 #include "control/path_registry.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <numeric>
+#include <optional>
+#include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "obs/event_log.hpp"
 #include "parallel/parallel_for.hpp"
@@ -13,13 +17,24 @@ namespace mars::control {
 
 namespace {
 
-// Below this many paths the fork/join overhead dwarfs the work; the small
-// registries used by unit tests and k=4 scenarios stay on the calling
-// thread even when a pool exists.
-constexpr std::size_t kMinParallelPaths = 4096;
-// Replay is ~30 ns per path; keep per-task slices coarse enough that the
-// pool's queue mutex never becomes the bottleneck.
-constexpr std::size_t kMinChunk = 1024;
+using Hop = RegisteredPath::Hop;
+
+[[nodiscard]] std::uint32_t id_of(std::uint64_t entry) {
+  return static_cast<std::uint32_t>(entry >> 32);
+}
+[[nodiscard]] std::size_t path_of(std::uint64_t entry) {
+  return static_cast<std::size_t>(entry & 0xFFFFFFFFu);
+}
+
+/// Run fn(i) for i in [0, n): on the pool when there is one.
+template <typename Fn>
+void for_each_index(parallel::ThreadPool* pool, std::size_t n, Fn&& fn) {
+  if (pool != nullptr && n > 1) {
+    parallel::parallel_for(*pool, 0, n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
 
 }  // namespace
 
@@ -35,12 +50,11 @@ PathRegistry::PathRegistry(const net::Topology& topology,
   if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
 
   enumerate(routing, pool.get());
-  const Groups groups = resolve_conflicts(pool.get());
-  finalize(groups);
+  resolve_conflicts(pool.get());
 
   audit_.config = config_;
-  audit_.path_count = paths_.size();
-  for (const auto& p : paths_) audit_.hop_count += p.hops.size();
+  audit_.path_count = path_count();
+  audit_.hop_count = hops_.size();
   audit_.id_space = static_cast<std::size_t>(config_.mask()) + 1;
   audit_.mat_entries = mat_.size();
   audit_.mars_memory_bytes = mars_memory_bytes();
@@ -54,205 +68,198 @@ PathRegistry::PathRegistry(const net::Topology& topology,
 void PathRegistry::enumerate(const net::RoutingTable& routing,
                              parallel::ThreadPool* pool) {
   // Per-root task splitting (fsm::Engine's pattern): every source edge
-  // switch enumerates into its own buffer, and the buffers concatenate in
-  // source order — exactly RoutingTable::enumerate_edge_paths(), so the
-  // path table is identical at every thread count.
-  const auto roots = topology_->switches_in_layer(net::Layer::kEdge);
-  std::vector<std::vector<RegisteredPath>> per_root(roots.size());
-  const auto build_root = [&](std::size_t r) {
-    std::vector<RegisteredPath>& out = per_root[r];
-    for (auto& switches : routing.enumerate_edge_paths_from(roots[r])) {
-      RegisteredPath path;
-      path.switches = std::move(switches);
-      build_hops(path);
-      out.push_back(std::move(path));
+  // switch runs RoutingTable::enumerate_paths' DFS to every other edge
+  // switch, destinations in layer order, and the roots' paths follow each
+  // other in source order, so the path table is identical at every thread
+  // count. Each root writes straight into its own slice of the flat
+  // arrays: all shortest paths to one destination have the same length,
+  // and their number is a sum over the shortest-path DAG, so every
+  // slice's size is known before any DFS runs. The DFS carries each
+  // prefix's running PathID, which gives round 0's ids (empty MAT).
+  const auto edges = topology_->switches_in_layer(net::Layer::kEdge);
+  std::vector<std::size_t> first_path(edges.size() + 1, 0);
+  std::vector<std::size_t> first_hop(edges.size() + 1, 0);
+  std::vector<std::size_t> paths_to(topology_->switch_count());
+  for (const net::SwitchId dst : edges) {
+    std::fill(paths_to.begin(), paths_to.end(), 0);
+    const auto count = [&](const auto& self, net::SwitchId cur) {
+      std::size_t& n = paths_to[cur];
+      if (cur == dst) n = 1;
+      if (n != 0) return n;
+      const int d = routing.distance(cur, dst);
+      for (net::PortId p = 0; p < topology_->port_count(cur); ++p) {
+        const net::SwitchId nb = topology_->peer(cur, p).neighbor;
+        if (routing.distance(nb, dst) == d - 1) n += self(self, nb);
+      }
+      return n;
+    };
+    for (std::size_t r = 0; r < edges.size(); ++r) {
+      const int d = routing.distance(edges[r], dst);
+      if (edges[r] == dst || d < 0) continue;
+      const std::size_t n = count(count, edges[r]);
+      first_path[r + 1] += n;
+      first_hop[r + 1] += n * static_cast<std::size_t>(d + 1);
     }
-  };
-  if (pool != nullptr && roots.size() > 1) {
-    parallel::parallel_for(*pool, 0, roots.size(), build_root);
-  } else {
-    for (std::size_t r = 0; r < roots.size(); ++r) build_root(r);
   }
-  std::size_t total = 0;
-  for (const auto& buf : per_root) total += buf.size();
-  paths_.reserve(total);
-  for (auto& buf : per_root) {
-    for (auto& path : buf) paths_.push_back(std::move(path));
+  std::partial_sum(first_path.begin(), first_path.end(), first_path.begin());
+  std::partial_sum(first_hop.begin(), first_hop.end(), first_hop.begin());
+  if (first_path.back() > 0xFFFFFFFFu) {  // index_ packs paths in 32 bits
+    throw std::length_error("PathRegistry: more than 2^32 paths");
   }
+  switches_.resize(first_hop.back());
+  hops_.resize(first_hop.back());
+  offsets_.resize(first_path.back() + 1);
+  ids_.resize(first_path.back());
+
+  for_each_index(pool, edges.size(), [&](std::size_t r) {
+    std::size_t path = first_path[r], hop = first_hop[r];
+    std::vector<Hop> stack;
+    for (const net::SwitchId dst : edges) {
+      if (dst == edges[r] || routing.distance(edges[r], dst) < 0) continue;
+      const auto dfs = [&](const auto& self, net::SwitchId cur,
+                           net::PortId in_port, std::uint32_t id) -> void {
+        const int d = routing.distance(cur, dst);
+        if (d == 0) {
+          stack.push_back({cur, in_port, net::kHostPort});
+          for (const Hop& h : stack) {
+            switches_[hop] = h.sw;
+            hops_[hop++] = h;
+          }
+          offsets_[path + 1] = hop;
+          ids_[path++] = telemetry::update_path_id(
+              config_, id, cur, in_port, net::kHostPort, 0);
+          stack.pop_back();
+          return;
+        }
+        for (net::PortId p = 0; p < topology_->port_count(cur); ++p) {
+          const net::SwitchId nb = topology_->peer(cur, p).neighbor;
+          if (routing.distance(nb, dst) != d - 1) continue;
+          // The first port facing the neighbour (port_towards), which is
+          // not p itself only on parallel links.
+          const net::PortId out_port = *topology_->port_towards(cur, nb);
+          stack.push_back({cur, in_port, out_port});
+          self(self, nb, *topology_->port_towards(nb, cur),
+               telemetry::update_path_id(config_, id, cur, in_port, out_port,
+                                         0));
+          stack.pop_back();
+        }
+      };
+      dfs(dfs, edges[r], net::kHostPort, 0);
+    }
+  });
 }
 
-void PathRegistry::build_hops(RegisteredPath& path) const {
-  const auto& sws = path.switches;
-  path.hops.reserve(sws.size());
-  for (std::size_t i = 0; i < sws.size(); ++i) {
-    RegisteredPath::Hop hop{};
-    hop.sw = sws[i];
-    if (i == 0) {
-      hop.in_port = net::kHostPort;
-    } else {
-      const auto in = topology_->port_towards(sws[i], sws[i - 1]);
-      assert(in.has_value());
-      hop.in_port = *in;
-    }
-    if (i + 1 == sws.size()) {
-      hop.out_port = net::kHostPort;
-    } else {
-      const auto out = topology_->port_towards(sws[i], sws[i + 1]);
-      assert(out.has_value());
-      hop.out_port = *out;
-    }
-    path.hops.push_back(hop);
-  }
+RegisteredPath PathRegistry::path(std::size_t i) const {
+  const std::size_t begin = offsets_[i];
+  const std::size_t size = offsets_[i + 1] - begin;
+  return {{switches_.data() + begin, size},
+          {hops_.data() + begin, size},
+          ids_[i]};
 }
 
-std::uint32_t PathRegistry::replay(const RegisteredPath& path) const {
+std::uint32_t PathRegistry::replay(std::size_t path) const {
   std::uint32_t id = 0;
-  for (const auto& hop : path.hops) {
+  for (const Hop& hop : this->path(path).hops) {
     id = telemetry::update_path_id_with_mat(config_, mat_, id, hop.sw,
                                             hop.in_port, hop.out_port);
   }
   return id;
 }
 
-void PathRegistry::replay_all(parallel::ThreadPool* pool) {
-  // Each path's id depends only on its own hops and the (frozen) MAT, so
-  // the replays are embarrassingly parallel and write disjoint slots.
-  const auto do_one = [&](std::size_t i) {
-    paths_[i].path_id = replay(paths_[i]);
-  };
-  if (pool != nullptr && paths_.size() >= kMinParallelPaths) {
-    parallel::parallel_for(*pool, 0, paths_.size(), do_one, kMinChunk);
-  } else {
-    for (std::size_t i = 0; i < paths_.size(); ++i) do_one(i);
+std::size_t PathRegistry::index_ids() {
+  // Sorting (id, path) pairs groups every PathID's paths together in path
+  // order; the collision count is the number of paths beyond the first
+  // for each id, i.e. n minus the distinct ids. Also sets ambiguous_ids.
+  const std::size_t n = path_count();
+  index_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    index_[i] = std::uint64_t{ids_[i]} << 32 | i;
   }
+  std::sort(index_.begin(), index_.end());
+  std::size_t distinct = 0;
+  audit_.ambiguous_ids = 0;
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    while (j < n && id_of(index_[j]) == id_of(index_[i])) ++j;
+    ++distinct;
+    if (j - i > 1) ++audit_.ambiguous_ids;
+    i = j;
+  }
+  return n - distinct;
 }
 
-PathRegistry::Groups PathRegistry::group_paths(
-    parallel::ThreadPool* pool) const {
-  // Sequential reference: insert ids in path-index order. The parallel
-  // version groups contiguous index chunks independently, then merges the
-  // chunk results in chunk order, replaying each chunk's first-seen key
-  // sequence. Because chunk c's indices all precede chunk c+1's, the
-  // merged sequence of *successful* key insertions — and every group's
-  // member order — is exactly the sequential one, so the map (and with it
-  // the resolution pass that iterates it) is bit-identical at every
-  // thread count.
-  Groups groups;
-  if (pool == nullptr || paths_.size() < kMinParallelPaths) {
-    for (std::size_t i = 0; i < paths_.size(); ++i) {
-      groups[paths_[i].path_id].push_back(i);
-    }
-    return groups;
-  }
-
-  struct ChunkGroups {
-    std::vector<std::uint32_t> first_seen;
-    std::unordered_map<std::uint32_t, std::vector<std::size_t>> members;
-  };
-  const std::vector<std::size_t> sizes = parallel::detail::chunk_sizes(
-      paths_.size(), kMinChunk, pool->size() * 4);
-  std::vector<std::size_t> bounds{0};
-  for (const std::size_t size : sizes) bounds.push_back(bounds.back() + size);
-  std::vector<ChunkGroups> chunks(sizes.size());
-  parallel::parallel_for(*pool, 0, chunks.size(), [&](std::size_t c) {
-    ChunkGroups& chunk = chunks[c];
-    for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
-      const auto [it, fresh] = chunk.members.try_emplace(paths_[i].path_id);
-      if (fresh) chunk.first_seen.push_back(paths_[i].path_id);
-      it->second.push_back(i);
-    }
-  });
-  for (const ChunkGroups& chunk : chunks) {
-    for (const std::uint32_t id : chunk.first_seen) {
-      const std::vector<std::size_t>& members = chunk.members.at(id);
-      std::vector<std::size_t>& out = groups[id];
-      out.insert(out.end(), members.begin(), members.end());
-    }
-  }
-  return groups;
-}
-
-PathRegistry::Groups PathRegistry::resolve_conflicts(
-    parallel::ThreadPool* pool) {
+void PathRegistry::resolve_conflicts(parallel::ThreadPool* pool) {
   // Iteratively: recompute all ids; for every group of paths sharing an
   // id, keep the first and pin a fresh control value for each of the
   // others at the first hop where their running keys diverge from the
   // keeper's. Fixing whole groups per round shrinks the conflict count
   // geometrically, so even dense tables (K=8: ~15k paths in 16 bits)
-  // settle in a handful of rounds.
+  // settle in a handful of rounds. Round 0's ids come from enumerate().
   constexpr int kMaxRounds = 64;
-  const auto count_conflicts = [](const Groups& groups) {
-    std::size_t conflicts = 0;
-    for (const auto& [id, members] : groups) {
-      if (members.size() > 1) conflicts += members.size() - 1;
-    }
-    return conflicts;
-  };
-
   // Pigeonhole: with more paths than PathID values no MAT assignment can
   // be injective, so 64 rounds of separation would only churn. Record the
   // raw collision census and stop — validation rejects the config.
-  if (paths_.size() > static_cast<std::size_t>(config_.mask()) + 1) {
-    replay_all(pool);
-    Groups groups = group_paths(pool);
-    audit_.initial_collisions = count_conflicts(groups);
-    audit_.residual_collisions = audit_.initial_collisions;
-    audit_.pigeonhole_infeasible = true;
-    audit_.conflict_free = false;
-    audit_.rounds = 0;
-    return groups;
-  }
-
-  for (int round = 0; round < kMaxRounds; ++round) {
-    replay_all(pool);
-    Groups groups = group_paths(pool);
-    const std::size_t conflicts = count_conflicts(groups);
+  const bool pigeonhole =
+      path_count() > static_cast<std::size_t>(config_.mask()) + 1;
+  for (int round = 0;; ++round) {
+    if (round > 0) {
+      // Each path's id depends only on its own hops and the (frozen) MAT,
+      // so the replays write disjoint slots.
+      for_each_index(pool, path_count(),
+                     [&](std::size_t i) { ids_[i] = replay(i); });
+    }
+    const std::size_t conflicts = index_ids();
     if (round == 0) audit_.initial_collisions = conflicts;
-    if (conflicts == 0) {
-      audit_.conflict_free = true;
-      audit_.residual_collisions = 0;
-      audit_.rounds = round + 1;
-      return groups;
-    }
-    if (round + 1 == kMaxRounds) {
-      // Give up *with the map consistent*: the ids and groups reflect the
-      // final MAT (no separation whose effect was never re-checked), and
-      // the residual census is what validation reports.
-      audit_.conflict_free = false;
+    if (pigeonhole || conflicts == 0 || round + 1 == kMaxRounds) {
+      // Stop *with the index consistent*: the ids reflect the final MAT
+      // (no separation whose effect was never re-checked), and the
+      // residual census is what validation reports.
+      audit_.pigeonhole_infeasible = pigeonhole;
+      audit_.conflict_free = conflicts == 0;
       audit_.residual_collisions = conflicts;
-      audit_.rounds = kMaxRounds;
-      return groups;
+      audit_.rounds = pigeonhole ? 0 : round + 1;
+      break;
     }
-
-    for (const auto& [id, members] : groups) {
-      if (members.size() < 2) continue;
-      const RegisteredPath& keeper = paths_[members.front()];
-      for (std::size_t m = 1; m < members.size(); ++m) {
-        separate(keeper, paths_[members[m]]);
-      }
-    }
+    separate_collisions();
   }
-  assert(false);  // unreachable: the loop returns on its last round
-  return {};
 }
 
-void PathRegistry::separate(const RegisteredPath& a, const RegisteredPath& b) {
+void PathRegistry::separate_collisions() {
+  // The control values are handed out in this map's iteration order,
+  // which depends on the sequence of inserted ids, so the map is always
+  // built one way: every path inserted sequentially in index order. Same
+  // insertions, same bucket state, same iteration order, same MAT. Only a
+  // round with collisions pays for it.
+  std::unordered_map<std::uint32_t, std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < path_count(); ++i) {
+    groups[ids_[i]].push_back(i);
+  }
+  for (const auto& [id, members] : groups) {
+    for (std::size_t m = 1; m < members.size(); ++m) {
+      separate(members.front(), members[m]);
+    }
+  }
+}
+
+void PathRegistry::separate(std::size_t a, std::size_t b) {
   // Pin a fresh control value for `b` at the LAST hop whose running key
   // differs from `a`'s and has no MAT entry yet. Early hops' keys are
   // shared by every sibling path through the same prefix (e.g. all paths
   // leaving the source via one port), so rewriting them re-hashes large
   // path families and thrashes; the deepest key is the most specific.
+  const std::span<const Hop> hops_a = path(a).hops;
+  const std::span<const Hop> hops_b = path(b).hops;
   std::uint32_t id_a = 0, id_b = 0;
   std::optional<telemetry::HopKey> target;
   std::vector<telemetry::HopKey> keys;
-  keys.reserve(b.hops.size());
-  for (std::size_t h = 0; h < b.hops.size(); ++h) {
-    const auto& hb = b.hops[h];
+  keys.reserve(hops_b.size());
+  for (std::size_t h = 0; h < hops_b.size(); ++h) {
+    const Hop& hb = hops_b[h];
     const telemetry::HopKey kb{id_b, hb.sw, hb.in_port, hb.out_port};
     keys.push_back(kb);
     bool differs = true;
-    if (h < a.hops.size()) {
-      const auto& ha = a.hops[h];
+    if (h < hops_a.size()) {
+      const Hop& ha = hops_a[h];
       const telemetry::HopKey ka{id_a, ha.sw, ha.in_port, ha.out_port};
       differs = !(ka == kb);
       id_a = telemetry::update_path_id_with_mat(config_, mat_, id_a, ha.sw,
@@ -285,28 +292,22 @@ void PathRegistry::separate(const RegisteredPath& a, const RegisteredPath& b) {
   // the residual census and validation rejects the config.
 }
 
-void PathRegistry::finalize(const Groups& groups) {
-  id_to_path_.reserve(groups.size());
-  for (const auto& [id, members] : groups) {
-    if (members.size() == 1) {
-      id_to_path_.emplace(id, members.front());
-    } else {
-      ambiguous_.insert(id);
-    }
-  }
-  audit_.ambiguous_ids = ambiguous_.size();
-}
-
-const net::SwitchPath* PathRegistry::lookup(std::uint32_t path_id) const {
-  if (ambiguous_.count(path_id) > 0) {
+std::span<const net::SwitchId> PathRegistry::lookup(
+    std::uint32_t path_id) const {
+  const auto [lo, hi] = std::ranges::equal_range(index_, path_id, {}, id_of);
+  if (hi - lo > 1) {
     // Decompressing an ambiguous id to an arbitrary survivor would feed
     // the analyzer a wrong switch sequence; refuse and count instead.
     ambiguous_lookups_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return {};
   }
-  const auto it = id_to_path_.find(path_id);
-  if (it == id_to_path_.end()) return nullptr;
-  return &paths_[it->second].switches;
+  if (lo == hi) return {};
+  return path(path_of(*lo)).switches;
+}
+
+bool PathRegistry::is_ambiguous(std::uint32_t path_id) const {
+  const auto [lo, hi] = std::ranges::equal_range(index_, path_id, {}, id_of);
+  return hi - lo > 1;
 }
 
 void PathRegistry::log_audit(obs::EventLog& log, sim::Time at) const {
@@ -330,12 +331,6 @@ void PathRegistry::log_audit(obs::EventLog& log, sim::Time at) const {
              {"rounds",
               std::uint64_t{static_cast<std::uint64_t>(audit_.rounds)}}});
   }
-}
-
-std::size_t PathRegistry::intsight_memory_bytes() const {
-  std::size_t hops = 0;
-  for (const auto& p : paths_) hops += p.hops.size();
-  return hops * kIntSightMatEntryBytes;
 }
 
 }  // namespace mars::control

@@ -10,23 +10,21 @@
 //   (b) the conflict MAT the data plane needs, whose entry count is the
 //       switch-memory cost compared against IntSight in §5.5.
 //
-// Construction is a parallel pass over the `src/parallel` thread pool:
-// path enumeration splits per source edge switch (the same per-root task
-// pattern as fsm::Engine), PathID replay and collision grouping split
-// over contiguous path-index chunks. The hard contract is that the MAT,
-// the path order, and every collision count are bit-identical at every
-// thread count — the sequential build is just the 1-thread special case.
+// Paths are stored flat (switch ids, hop records, offsets, ids) and
+// enumerated per source edge switch on the `src/parallel` thread pool;
+// one sorted (id, path) index counts collisions and decompresses ids.
+// The hard contract is that the MAT, the path order, and every collision
+// count are bit-identical at every thread count — the sequential build
+// is just the 1-thread special case.
 //
 // A registry that fails to resolve every collision is a *diagnosed*
-// condition, not a silent one: ambiguous PathIDs decompress to nullptr
+// condition, not a silent one: ambiguous PathIDs decompress to nothing
 // (never to an arbitrary first-wins path), the PathAuditReport carries
 // the residual counts, and scenario validation rejects the configuration.
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "net/routing.hpp"
@@ -43,17 +41,18 @@ class ThreadPool;
 
 namespace mars::control {
 
-/// A path with its precomputed hop coordinates and final PathID.
+/// One registered path: its switch sequence, its hop coordinates and its
+/// final PathID. The spans view the registry's flat arrays and live as
+/// long as the registry.
 struct RegisteredPath {
-  net::SwitchPath switches;
-  std::uint32_t path_id = 0;
-
   struct Hop {
     net::SwitchId sw;
     net::PortId in_port;
     net::PortId out_port;
   };
-  std::vector<Hop> hops;
+  std::span<const net::SwitchId> switches;
+  std::span<const Hop> hops;
+  std::uint32_t path_id = 0;
 };
 
 /// Everything scenario validation, the CLI `--path-audit` view, and the
@@ -89,16 +88,15 @@ class PathRegistry {
   PathRegistry(const net::Topology& topology, const net::RoutingTable& routing,
                telemetry::PathIdConfig config, std::size_t threads = 1);
 
-  /// Decompress a PathID into its switch sequence. nullptr if unknown
-  /// *or ambiguous* — an ambiguous id (only possible when the registry is
-  /// not conflict_free()) must never decompress to an arbitrary survivor,
-  /// so it counts in ambiguous_lookups() and returns nothing.
-  [[nodiscard]] const net::SwitchPath* lookup(std::uint32_t path_id) const;
+  /// Decompress a PathID into its switch sequence. Empty if unknown *or
+  /// ambiguous* — an ambiguous id (only possible when the registry is not
+  /// conflict_free()) must never decompress to an arbitrary survivor, so
+  /// it counts in ambiguous_lookups() and returns nothing.
+  [[nodiscard]] std::span<const net::SwitchId> lookup(
+      std::uint32_t path_id) const;
 
   /// True when `path_id` is shared by more than one registered path.
-  [[nodiscard]] bool is_ambiguous(std::uint32_t path_id) const {
-    return ambiguous_.count(path_id) > 0;
-  }
+  [[nodiscard]] bool is_ambiguous(std::uint32_t path_id) const;
   /// How many lookup() calls hit an ambiguous id (thread-safe counter).
   [[nodiscard]] std::uint64_t ambiguous_lookups() const {
     return ambiguous_lookups_.load(std::memory_order_relaxed);
@@ -108,10 +106,9 @@ class PathRegistry {
   [[nodiscard]] const telemetry::ControlMat& mat() const { return mat_; }
   [[nodiscard]] std::size_t mat_entry_count() const { return mat_.size(); }
 
-  [[nodiscard]] std::size_t path_count() const { return paths_.size(); }
-  [[nodiscard]] const std::vector<RegisteredPath>& paths() const {
-    return paths_;
-  }
+  [[nodiscard]] std::size_t path_count() const { return ids_.size(); }
+  /// Path `i` (0 <= i < path_count()), in enumeration order.
+  [[nodiscard]] RegisteredPath path(std::size_t i) const;
   /// Collisions seen before any MAT entry was installed.
   [[nodiscard]] std::size_t initial_collisions() const {
     return audit_.initial_collisions;
@@ -132,29 +129,32 @@ class PathRegistry {
     return mat_.size() * kMarsMatEntryBytes;
   }
   /// IntSight: one ~7-byte MAT entry per hop of every path.
-  [[nodiscard]] std::size_t intsight_memory_bytes() const;
+  [[nodiscard]] std::size_t intsight_memory_bytes() const {
+    return hops_.size() * kIntSightMatEntryBytes;
+  }
 
   static constexpr std::size_t kMarsMatEntryBytes = 10;
   static constexpr std::size_t kIntSightMatEntryBytes = 7;
 
  private:
-  using Groups = std::unordered_map<std::uint32_t, std::vector<std::size_t>>;
-
   void enumerate(const net::RoutingTable& routing, parallel::ThreadPool* pool);
-  void build_hops(RegisteredPath& path) const;
-  [[nodiscard]] std::uint32_t replay(const RegisteredPath& path) const;
-  void replay_all(parallel::ThreadPool* pool);
-  [[nodiscard]] Groups group_paths(parallel::ThreadPool* pool) const;
-  [[nodiscard]] Groups resolve_conflicts(parallel::ThreadPool* pool);
-  void separate(const RegisteredPath& a, const RegisteredPath& b);
-  void finalize(const Groups& groups);
+  [[nodiscard]] std::uint32_t replay(std::size_t path) const;
+  [[nodiscard]] std::size_t index_ids();
+  void resolve_conflicts(parallel::ThreadPool* pool);
+  void separate_collisions();
+  void separate(std::size_t a, std::size_t b);
 
   const net::Topology* topology_;
   telemetry::PathIdConfig config_;
-  std::vector<RegisteredPath> paths_;
+  // Paths back to back: path i is switches_/hops_ [offsets_[i],
+  // offsets_[i + 1]) with PathID ids_[i].
+  std::vector<net::SwitchId> switches_;
+  std::vector<RegisteredPath::Hop> hops_;
+  std::vector<std::size_t> offsets_;
+  std::vector<std::uint32_t> ids_;
+  /// (PathID << 32 | path index) of every path, sorted.
+  std::vector<std::uint64_t> index_;
   telemetry::ControlMat mat_;
-  std::unordered_map<std::uint32_t, std::size_t> id_to_path_;
-  std::unordered_set<std::uint32_t> ambiguous_;
   mutable std::atomic<std::uint64_t> ambiguous_lookups_{0};
   PathAuditReport audit_;
   std::uint32_t next_control_ = 1;

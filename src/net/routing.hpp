@@ -67,13 +67,6 @@ class RoutingTable {
   [[nodiscard]] std::vector<SwitchPath> enumerate_paths(SwitchId src,
                                                         SwitchId dst) const;
 
-  /// All shortest paths from one edge switch to every other edge switch,
-  /// destinations in layer order. One "root" of the registry's parallel
-  /// enumeration: concatenating these per-source results in source order
-  /// is exactly enumerate_edge_paths().
-  [[nodiscard]] std::vector<SwitchPath> enumerate_edge_paths_from(
-      SwitchId src) const;
-
   /// All shortest paths between every ordered pair of edge switches.
   [[nodiscard]] std::vector<SwitchPath> enumerate_edge_paths() const;
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <thread>
@@ -22,9 +23,9 @@ namespace {
                                  const PathRegistry& b) {
   if (a.path_count() != b.path_count()) return false;
   for (std::size_t i = 0; i < a.path_count(); ++i) {
-    const auto& pa = a.paths()[i];
-    const auto& pb = b.paths()[i];
-    if (pa.switches != pb.switches) return false;
+    const RegisteredPath pa = a.path(i);
+    const RegisteredPath pb = b.path(i);
+    if (!std::ranges::equal(pa.switches, pb.switches)) return false;
     if (pa.path_id != pb.path_id) return false;
     if (pa.hops.size() != pb.hops.size()) return false;
     for (std::size_t h = 0; h < pa.hops.size(); ++h) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "net/fat_tree.hpp"
@@ -28,19 +29,22 @@ TEST(PathRegistryTest, ResolvesToUniqueIds) {
                          {telemetry::HashKind::kCrc16, 16});
   EXPECT_TRUE(reg.conflict_free());
   std::set<std::uint32_t> ids;
-  for (const auto& p : reg.paths()) ids.insert(p.path_id);
+  for (std::size_t i = 0; i < reg.path_count(); ++i) {
+    ids.insert(reg.path(i).path_id);
+  }
   EXPECT_EQ(ids.size(), reg.path_count());
 }
 
 TEST(PathRegistryTest, LookupDecompressesPath) {
   Built b;
   const PathRegistry reg(b.ft.topology, b.routing, {});
-  for (const auto& p : reg.paths()) {
-    const auto* found = reg.lookup(p.path_id);
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(*found, p.switches);
+  for (std::size_t i = 0; i < reg.path_count(); ++i) {
+    const RegisteredPath p = reg.path(i);
+    const auto found = reg.lookup(p.path_id);
+    ASSERT_FALSE(found.empty());
+    EXPECT_TRUE(std::ranges::equal(found, p.switches));
   }
-  EXPECT_EQ(reg.lookup(0xDEADBEEF & 0xFFFF), nullptr);  // probably unknown
+  EXPECT_TRUE(reg.lookup(0xDEADBEEF & 0xFFFF).empty());  // probably unknown
 }
 
 TEST(PathRegistryTest, NarrowWidthForcesConflictsButStillResolves) {
@@ -51,7 +55,9 @@ TEST(PathRegistryTest, NarrowWidthForcesConflictsButStillResolves) {
   EXPECT_GT(reg.initial_collisions(), 0u);
   if (reg.conflict_free()) {
     std::set<std::uint32_t> ids;
-    for (const auto& p : reg.paths()) ids.insert(p.path_id);
+    for (std::size_t i = 0; i < reg.path_count(); ++i) {
+      ids.insert(reg.path(i).path_id);
+    }
     EXPECT_EQ(ids.size(), reg.path_count());
     EXPECT_GT(reg.mat_entry_count(), 0u);
   }
@@ -90,7 +96,7 @@ TEST(PathRegistryTest, AmbiguousLookupReturnsNullAndCounts) {
   for (const std::uint32_t id : {0u, 1u}) {
     if (reg.is_ambiguous(id)) {
       // An ambiguous id must never decompress to an arbitrary survivor.
-      EXPECT_EQ(reg.lookup(id), nullptr);
+      EXPECT_TRUE(reg.lookup(id).empty());
       ++expected;
     }
   }
@@ -175,7 +181,8 @@ TEST(PathRegistryTest, UnresolvedCollisionsEmitStructuredError) {
 TEST(PathRegistryTest, HopPortsAreConsistentWithTopology) {
   Built b;
   const PathRegistry reg(b.ft.topology, b.routing, {});
-  for (const auto& p : reg.paths()) {
+  for (std::size_t path = 0; path < reg.path_count(); ++path) {
+    const RegisteredPath p = reg.path(path);
     ASSERT_EQ(p.hops.size(), p.switches.size());
     EXPECT_EQ(p.hops.front().in_port, net::kHostPort);
     EXPECT_EQ(p.hops.back().out_port, net::kHostPort);

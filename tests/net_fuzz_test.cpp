@@ -91,9 +91,9 @@ TEST_P(NetFuzzTest, PipelinePathIdsAlwaysDecompress) {
 
   int checked = 0;
   network.set_delivery_callback([&](const net::Packet& p, sim::Time) {
-    const auto* path = registry.lookup(p.path_id);
-    ASSERT_NE(path, nullptr) << "PathID " << p.path_id;
-    EXPECT_EQ(*path, p.true_path);
+    const auto path = registry.lookup(p.path_id);
+    ASSERT_FALSE(path.empty()) << "PathID " << p.path_id;
+    EXPECT_EQ(net::SwitchPath(path.begin(), path.end()), p.true_path);
     ++checked;
   });
 

@@ -132,11 +132,11 @@ TEST(BackendDifferentialTest, IntMdHopStacksMatchTheRecordedPath) {
   for (const auto& s : stored) {
     // The hop stack IS the PathID's switch sequence, in order — the
     // hop-exact evidence this backend pays extra in-band bytes for.
-    const auto* path = f.registry.lookup(s.rec.path_id);
-    ASSERT_NE(path, nullptr);
-    ASSERT_EQ(s.hops.size(), path->size());
+    const auto path = f.registry.lookup(s.rec.path_id);
+    ASSERT_FALSE(path.empty());
+    ASSERT_EQ(s.hops.size(), path.size());
     for (std::size_t h = 0; h < s.hops.size(); ++h) {
-      EXPECT_EQ(s.hops[h].sw, (*path)[h]);
+      EXPECT_EQ(s.hops[h].sw, path[h]);
     }
     EXPECT_EQ(s.hops.back().sw, flow.sink);
     EXPECT_EQ(s.hops.back().out_port, net::kHostPort);
