@@ -2,8 +2,9 @@
 // packets/sec) on a leaf-spine scenario, plus a steady-state heap
 // allocation counter. Every MARS experiment replays millions of packets
 // through this loop, so these numbers bound experiment scale. The
-// per-baseline variants attach one comparison system's collector and
-// report hops/sec, the collector's wall cost per packet-hop included.
+// per-system variants attach one data plane — a comparison system's
+// collector, or the MARS pipeline with one telemetry backend — and report
+// hops/sec, its wall cost per packet-hop included.
 //
 // Run `bench/run_sim_hotpath.sh` to emit BENCH_sim_hotpath.json; the
 // committed file tracks the trajectory across PRs (baseline vs current).
@@ -15,17 +16,21 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "baselines/intsight.hpp"
 #include "baselines/spidermon.hpp"
 #include "baselines/syndb.hpp"
+#include "control/path_registry.hpp"
+#include "dataplane/mars_pipeline.hpp"
 #include "net/leaf_spine.hpp"
 #include "net/network.hpp"
 #include "obs/net_scrape.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/backend.hpp"
 #include "util/rng.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -214,14 +219,14 @@ void BM_LeafSpine_HotPath_Instrumented(benchmark::State& state) {
   registry.remove_gauges();
 }
 
-// ---- Leaf-spine replay with one baseline collector -----------------------
-// The same steady-state replay with a comparison system's data plane
-// attached to every switch. hops_per_sec counts packet-hops (egress
-// services, summed over every port), so 1e9 / hops_per_sec is the wall
-// cost per hop including the collector.
+// ---- Leaf-spine replay with one monitoring data plane ---------------------
+// The same steady-state replay with one system's data plane attached to
+// every switch. hops_per_sec counts packet-hops (egress services, summed
+// over every port), so 1e9 / hops_per_sec is the wall cost per hop
+// including the data plane.
 
 template <typename MakeSystem>
-void leaf_spine_with_baseline(benchmark::State& state, MakeSystem make) {
+void leaf_spine_with_system(benchmark::State& state, MakeSystem make) {
   sim::Simulator sim;
   auto fabric = net::build_leaf_spine(
       {.leaves = 8, .spines = 4, .leaf_spine_gbps = 10.0});
@@ -263,11 +268,13 @@ void leaf_spine_with_baseline(benchmark::State& state, MakeSystem make) {
   state.counters["hops_per_sec"] = benchmark::Counter(
       static_cast<double>(hops() - hops0), benchmark::Counter::kIsRate);
   state.counters["allocs_per_event"] = events > 0 ? allocs / events : 0.0;
-  state.counters["triggered"] = system->triggered() ? 1.0 : 0.0;
+  if constexpr (requires { system->triggered(); }) {
+    state.counters["triggered"] = system->triggered() ? 1.0 : 0.0;
+  }
 }
 
 void BM_LeafSpine_HotPath_SpiderMon(benchmark::State& state) {
-  leaf_spine_with_baseline(state, [](const net::Network& network) {
+  leaf_spine_with_system(state, [](const net::Network& network) {
     // Trigger on the first hop: the steady state then measures the
     // post-trigger path, where every arrival folds into the aggregates.
     baselines::SpiderMonConfig config;
@@ -278,14 +285,31 @@ void BM_LeafSpine_HotPath_SpiderMon(benchmark::State& state) {
 }
 
 void BM_LeafSpine_HotPath_IntSight(benchmark::State& state) {
-  leaf_spine_with_baseline(state, [](const net::Network&) {
-    return std::make_unique<baselines::IntSight>();
+  leaf_spine_with_system(state, [](const net::Network& network) {
+    return std::make_unique<baselines::IntSight>(network.switch_count());
   });
 }
 
 void BM_LeafSpine_HotPath_SyNDB(benchmark::State& state) {
-  leaf_spine_with_baseline(state, [](const net::Network&) {
+  leaf_spine_with_system(state, [](const net::Network&) {
     return std::make_unique<baselines::SynDb>();
+  });
+}
+
+// The MARS pipeline with one telemetry backend: PathID chaining on every
+// hop, flow tables at sources and sinks, telemetry marking per flow per
+// epoch, and the backend's per-hop export work.
+void BM_LeafSpine_HotPath_Mars(benchmark::State& state,
+                               telemetry::BackendKind backend) {
+  leaf_spine_with_system(state, [backend](net::Network& network) {
+    dataplane::PipelineConfig config;
+    config.backend.kind = backend;
+    auto pipeline = std::make_unique<dataplane::MarsPipeline>(
+        network.switch_count(), config, [](const dataplane::Notification&) {});
+    const control::PathRegistry registry(network.topology(), network.routing(),
+                                         {});
+    pipeline->set_control_mat(registry.mat());
+    return pipeline;
   });
 }
 
@@ -298,5 +322,18 @@ BENCHMARK(BM_LeafSpine_HotPath_Instrumented)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeafSpine_HotPath_SpiderMon)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeafSpine_HotPath_IntSight)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeafSpine_HotPath_SyNDB)->Unit(benchmark::kMillisecond);
+
+// BM_LeafSpine_HotPath_Mars/<backend>, named by the backend registry.
+[[maybe_unused]] static const bool kMarsRegistered = [] {
+  for (const auto kind :
+       {telemetry::BackendKind::kPostcard, telemetry::BackendKind::kIntMd,
+        telemetry::BackendKind::kHistogram}) {
+    const std::string name =
+        std::string("BM_LeafSpine_HotPath_Mars/") + telemetry::to_string(kind);
+    benchmark::RegisterBenchmark(name.c_str(), BM_LeafSpine_HotPath_Mars, kind)
+        ->Unit(benchmark::kMillisecond);
+  }
+  return true;
+}();
 
 BENCHMARK_MAIN();

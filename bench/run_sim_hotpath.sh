@@ -39,6 +39,7 @@ for b in raw['benchmarks']:
             entry[key] = round(b[key], 9)
     if 'hops_per_sec' in b:
         entry['ns_per_hop'] = round(1e9 / b['hops_per_sec'], 1)
+    if 'triggered' in b:
         entry['triggered'] = bool(b['triggered'])
     results[b['name']] = entry
 
@@ -46,8 +47,12 @@ for b in raw['benchmarks']:
 # job is the pairwise ratio against the plain hot path from the SAME run
 # (the zero-overhead-when-disabled guarantee, bound: >= 0.97).
 instrumented = results.pop('BM_LeafSpine_HotPath_Instrumented', None)
-# The per-baseline variants (collector cost per packet-hop) go to their own
-# section, next to the recorded parent-commit measurement there.
+# The per-system variants (data-plane cost per packet-hop) go to their own
+# sections, next to the recorded parent-commit measurement there: the MARS
+# pipeline per backend under `mars`, the comparison systems under
+# `baselines`.
+mars_runs = {name: results.pop(name) for name in list(results)
+             if name.startswith('BM_LeafSpine_HotPath_Mars/')}
 baseline_runs = {name: results.pop(name) for name in list(results)
                  if 'ns_per_hop' in results[name]}
 
@@ -81,6 +86,8 @@ if instrumented and cur:
 
 if baseline_runs:
     doc.setdefault('baselines', {})['current'] = {'results': baseline_runs}
+if mars_runs:
+    doc.setdefault('mars', {})['current'] = {'results': mars_runs}
 
 json.dump(doc, open(out_path, 'w'), indent=2)
 print(f"wrote {out_path}")

@@ -4,13 +4,24 @@
 // so Table 1 and Fig. 9 grade all four identically) whose data plane is a
 // PacketObserver attached to every switch.
 
+#include <cstddef>
+#include <cstdint>
+
 #include "net/observer.hpp"
+#include "net/types.hpp"
 #include "rca/types.hpp"
 #include "systems/telemetry_system.hpp"
 
 namespace mars::baselines {
 
 using OverheadReport = systems::OverheadReport;
+
+/// Dense per-flow index, source * switch_count + sink: the layout of the
+/// per-flow arrays (switch_count² entries) SpiderMon and IntSight keep.
+[[nodiscard]] inline std::uint32_t dense_flow_index(const net::FlowId& flow,
+                                                    std::size_t switch_count) {
+  return flow.source * static_cast<std::uint32_t>(switch_count) + flow.sink;
+}
 
 class BaselineSystem : public systems::TelemetrySystem,
                        public net::PacketObserver {

@@ -7,11 +7,16 @@
 
 namespace mars::baselines {
 
-IntSight::IntSight(IntSightConfig config) : config_(config) {}
+IntSight::IntSight(std::size_t switch_count, IntSightConfig config)
+    : config_(config),
+      switch_count_(switch_count),
+      sink_state_(switch_count * switch_count),
+      source_counts_(switch_count * switch_count),
+      sink_counts_(switch_count * switch_count) {}
 
 void IntSight::on_ingress(net::SwitchContext& ctx, net::Packet& pkt) {
   if (ctx.id != pkt.flow.source) return;
-  auto& sc = source_counts_[pkt.flow];
+  auto& sc = source_counts_[dense_flow_index(pkt.flow, switch_count_)];
   const auto epoch = telemetry::epoch_of(ctx.sim.now(), config_.epoch_period);
   if (epoch != sc.epoch) {
     sc.previous = (epoch == sc.epoch + 1) ? sc.count : 0;
@@ -26,7 +31,7 @@ void IntSight::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
   overheads_.telemetry_bytes += config_.header_bytes;
   if (hop_latency > config_.contention_threshold &&
       ctx.id < kMaxSwitches) {
-    carried_mask_[pkt.id] |= (1ull << ctx.id);
+    pkt.intsight_mask |= (1ull << ctx.id);
   }
 }
 
@@ -46,7 +51,8 @@ void IntSight::flush(const net::FlowId& flow, EpochState& state) {
 void IntSight::on_deliver(net::SwitchContext& ctx, net::Packet& pkt) {
   const sim::Time now = ctx.sim.now();
   const auto epoch = telemetry::epoch_of(now, config_.epoch_period);
-  auto& state = sink_state_[pkt.flow];
+  const std::uint32_t index = dense_flow_index(pkt.flow, switch_count_);
+  auto& state = sink_state_[index];
   if (epoch != state.epoch) {
     flush(pkt.flow, state);
     state = EpochState{};
@@ -54,23 +60,18 @@ void IntSight::on_deliver(net::SwitchContext& ctx, net::Packet& pkt) {
   }
   ++state.packets;
 
-  std::uint64_t mask = 0;
-  if (const auto it = carried_mask_.find(pkt.id); it != carried_mask_.end()) {
-    mask = it->second;
-    carried_mask_.erase(it);
-  }
   const sim::Time e2e = now - pkt.source_switch_time;
   if (e2e > config_.slo) {
     ++state.violations;
-    state.contention_mask |= mask;
+    state.contention_mask |= pkt.intsight_mask;
     if (state.sample_path.empty()) state.sample_path = pkt.true_path;
   }
 
   // Flow-level end-to-end count tracking (drop detection).
-  auto& kc = sink_counts_[pkt.flow];
+  auto& kc = sink_counts_[index];
   if (epoch != kc.epoch) {
     // Compare the closed epoch's sink count against the source's.
-    const auto& sc = source_counts_[pkt.flow];
+    const auto& sc = source_counts_[index];
     if (sc.epoch == epoch && sc.previous > kc.count + 2) {
       FlowReport report;
       report.flow = pkt.flow;

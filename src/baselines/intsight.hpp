@@ -15,7 +15,7 @@
 // queueing (delay faults mark nothing); reports aggregate poorly into a
 // ranked metric, so its recall improves only near Top-5.
 
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "baselines/baseline.hpp"
@@ -41,7 +41,7 @@ class IntSight final : public BaselineSystem {
   /// be below this; validate_scenario rejects larger fabrics.
   static constexpr std::size_t kMaxSwitches = 64;
 
-  explicit IntSight(IntSightConfig config = {});
+  explicit IntSight(std::size_t switch_count, IntSightConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "IntSight"; }
   [[nodiscard]] rca::CulpritList diagnose() override;
@@ -64,6 +64,8 @@ class IntSight final : public BaselineSystem {
 
   // ---- PacketObserver ----
   void on_ingress(net::SwitchContext& ctx, net::Packet& pkt) override;
+  /// Marks this switch's bit in the packet's in-band contention bitmap
+  /// (`pkt.intsight_mask`) when the hop latency exceeds the threshold.
   void on_egress(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
                  sim::Time hop_latency) override;
   void on_deliver(net::SwitchContext& ctx, net::Packet& pkt) override;
@@ -85,10 +87,11 @@ class IntSight final : public BaselineSystem {
   void flush(const net::FlowId& flow, EpochState& state);
 
   IntSightConfig config_;
-  std::unordered_map<std::uint64_t, std::uint64_t> carried_mask_;  // pkt->bits
-  std::unordered_map<net::FlowId, EpochState> sink_state_;
-  std::unordered_map<net::FlowId, SourceCount> source_counts_;
-  std::unordered_map<net::FlowId, SourceCount> sink_counts_;
+  std::size_t switch_count_;
+  /// Per-flow state by dense_flow_index.
+  std::vector<EpochState> sink_state_;
+  std::vector<SourceCount> source_counts_;
+  std::vector<SourceCount> sink_counts_;
   std::vector<FlowReport> reports_;
   OverheadReport overheads_;
 };

@@ -35,7 +35,7 @@ void SpiderMon::on_enqueue(net::SwitchContext& ctx, net::Packet& pkt,
                            net::PortId out, std::uint32_t /*queue_depth*/) {
   auto& runs = queue(ctx.id, out);
   const sim::Time now = ctx.sim.now();
-  const std::uint32_t waiter = flow_index(pkt.flow);
+  const std::uint32_t waiter = dense_flow_index(pkt.flow, switch_count_);
   // The arriving packet waits for everything already queued (including its
   // own flow's packets — the self-burst blind spot).
   for (const Run& run : runs) {
@@ -67,9 +67,8 @@ void SpiderMon::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
   overheads_.telemetry_bytes += config_.header_bytes;
 
   // Accumulate queueing delay into the packet's in-band header.
-  sim::Time& carried = carried_delay_[pkt.id];
-  carried += hop_latency;
-  if (!triggered_ && carried > config_.queue_delay_threshold) {
+  pkt.spidermon_delay += hop_latency;
+  if (!triggered_ && pkt.spidermon_delay > config_.queue_delay_threshold) {
     triggered_ = true;
     trigger_time_ = ctx.sim.now();
     const sim::Time from = trigger_time_ - config_.window;
@@ -78,16 +77,6 @@ void SpiderMon::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
     }
     std::deque<RunEdge>().swap(pending_);
   }
-}
-
-void SpiderMon::on_deliver(net::SwitchContext& /*ctx*/, net::Packet& pkt) {
-  carried_delay_.erase(pkt.id);
-}
-
-void SpiderMon::on_drop(net::SwitchContext& /*ctx*/, const net::Packet& pkt,
-                        net::PortId /*out*/) {
-  // SpiderMon has no drop trigger (paper §5.4); just stop tracking.
-  carried_delay_.erase(pkt.id);
 }
 
 rca::CulpritList SpiderMon::diagnose() {

@@ -21,7 +21,6 @@
 // "SpiderMon streaming wait-for graph").
 
 #include <deque>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -55,11 +54,10 @@ class SpiderMon final : public BaselineSystem {
   // ---- PacketObserver ----
   void on_enqueue(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
                   std::uint32_t queue_depth) override;
+  /// Adds the hop latency to the packet's in-band delay header
+  /// (`pkt.spidermon_delay`) and triggers when it crosses the threshold.
   void on_egress(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
                  sim::Time hop_latency) override;
-  void on_deliver(net::SwitchContext& ctx, net::Packet& pkt) override;
-  void on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
-               net::PortId out) override;
 
  private:
   /// `count` consecutive queued packets of one flow (dense flow index).
@@ -77,10 +75,6 @@ class SpiderMon final : public BaselineSystem {
     std::uint32_t count;
   };
 
-  [[nodiscard]] std::uint32_t flow_index(const net::FlowId& flow) const {
-    return flow.source * static_cast<std::uint32_t>(switch_count_) +
-           flow.sink;
-  }
   [[nodiscard]] std::deque<Run>& queue(net::SwitchId sw, net::PortId port);
   /// Add a run-edge to the trigger window's aggregates.
   void fold(const RunEdge& edge);
@@ -89,8 +83,6 @@ class SpiderMon final : public BaselineSystem {
   std::size_t switch_count_;
   /// Run-length FIFO mirror of each queue, indexed [switch][port].
   std::vector<std::vector<std::deque<Run>>> queues_;
-  /// Cumulative queueing delay carried in each in-flight packet's header.
-  std::unordered_map<std::uint64_t, sim::Time> carried_delay_;
   /// Before the trigger: run-edges no older than `window`, oldest first.
   std::deque<RunEdge> pending_;
   /// After the trigger: wait-for degrees over edges with

@@ -14,25 +14,11 @@ void SynDb::on_ingress(net::SwitchContext& ctx, net::Packet& pkt) {
                              PRecord::Kind::kIngress});
 }
 
-void SynDb::on_enqueue(net::SwitchContext& /*ctx*/, net::Packet& pkt,
-                       net::PortId /*out*/, std::uint32_t queue_depth) {
-  pending_depth_[pkt.id] = queue_depth;
-}
-
 void SynDb::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
                       net::PortId out, sim::Time hop_latency) {
-  std::uint32_t depth = 0;
-  if (const auto it = pending_depth_.find(pkt.id);
-      it != pending_depth_.end()) {
-    depth = it->second;
-    pending_depth_.erase(it);
-  }
   records_.push_back(PRecord{pkt.id, pkt.flow, ctx.id, out, ctx.sim.now(),
-                             hop_latency, depth, PRecord::Kind::kEgress});
-}
-
-void SynDb::on_deliver(net::SwitchContext& /*ctx*/, net::Packet& pkt) {
-  pending_depth_.erase(pkt.id);
+                             hop_latency, pkt.enq_qdepth,
+                             PRecord::Kind::kEgress});
 }
 
 void SynDb::on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
@@ -42,7 +28,6 @@ void SynDb::on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
   // differential query cheaply.
   records_.push_back(PRecord{pkt.id, pkt.flow, ctx.id, out, ctx.sim.now(), 0,
                              0, PRecord::Kind::kDrop});
-  pending_depth_.erase(pkt.id);
 }
 
 rca::CulpritList SynDb::diagnose_with_hint(faults::FaultKind hint,

@@ -15,7 +15,6 @@
 // With full per-switch packet histories the right query localizes almost
 // anything; the price is the bandwidth shown in Fig. 9.
 
-#include <unordered_map>
 #include <vector>
 
 #include "baselines/baseline.hpp"
@@ -57,12 +56,11 @@ class SynDb final : public BaselineSystem {
   }
 
   // ---- PacketObserver ----
-  void on_enqueue(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
-                  std::uint32_t queue_depth) override;
+  /// The egress p-record carries the hop's enqueue depth, read from
+  /// `pkt.enq_qdepth` (egress intrinsic metadata on the switch).
   void on_egress(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
                  sim::Time hop_latency) override;
   void on_ingress(net::SwitchContext& ctx, net::Packet& pkt) override;
-  void on_deliver(net::SwitchContext& ctx, net::Packet& pkt) override;
   void on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
                net::PortId out) override;
 
@@ -86,8 +84,6 @@ class SynDb final : public BaselineSystem {
 
   SynDbConfig config_;
   std::vector<PRecord> records_;
-  /// Queue depth observed at enqueue, pending the egress record.
-  std::unordered_map<std::uint64_t, std::uint32_t> pending_depth_;
 };
 
 }  // namespace mars::baselines

@@ -56,7 +56,9 @@ std::unique_ptr<systems::TelemetrySystem> make_spidermon(
 std::unique_ptr<systems::TelemetrySystem> make_intsight(
     net::Network& network, const ScenarioConfig& config, Observability* obs) {
   return deploy_baseline(
-      std::make_unique<baselines::IntSight>(config.intsight), network, obs);
+      std::make_unique<baselines::IntSight>(network.switch_count(),
+                                            config.intsight),
+      network, obs);
 }
 
 std::unique_ptr<systems::TelemetrySystem> make_syndb(

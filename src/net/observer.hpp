@@ -36,12 +36,14 @@ class PacketObserver {
   virtual void on_ingress(SwitchContext& /*ctx*/, Packet& /*pkt*/) {}
 
   /// Forwarding decision made; the packet is about to join the egress
-  /// queue of `out`. `queue_depth` is the occupancy it sees on arrival.
+  /// queue of `out`. `queue_depth` is the occupancy it sees on arrival;
+  /// the switch has also stored it in `pkt.enq_qdepth` for on_egress.
   virtual void on_enqueue(SwitchContext& /*ctx*/, Packet& /*pkt*/,
                           PortId /*out*/, std::uint32_t /*queue_depth*/) {}
 
   /// Packet finished service at egress port `out`.
-  /// `hop_latency` = departure − ingress arrival at this switch.
+  /// `hop_latency` = departure − ingress arrival at this switch;
+  /// `pkt.enq_qdepth` still holds this hop's enqueue depth.
   virtual void on_egress(SwitchContext& /*ctx*/, Packet& /*pkt*/,
                          PortId /*out*/, sim::Time /*hop_latency*/) {}
 

@@ -4,8 +4,12 @@
 // A packet carries (a) forwarding state used by the substrate, (b) the MARS
 // in-band fields exactly as the paper defines them (§4.1–4.2): an 8-bit-class
 // PathID field updated per hop, an optional 11-byte INT telemetry header on
-// sampled packets, and the anomaly-suppression flag; and (c) ground-truth
-// bookkeeping used only by tests and evaluation (never by the algorithms).
+// sampled packets, and the anomaly-suppression flag; (c) the comparison
+// systems' in-band headers; and (d) ground-truth bookkeeping used only by
+// tests and evaluation (never by the algorithms).
+//
+// Per-packet state rides in the packet, never in a map keyed by packet id
+// (DESIGN.md "Per-packet state rides in the packet").
 
 #include <cstdint>
 #include <optional>
@@ -37,6 +41,11 @@ struct Packet {
   std::uint32_t size_bytes = 0; ///< payload + base headers, excl. telemetry
   sim::Time created = 0;        ///< injection time at the source switch
   PortId ingress_port = kHostPort;  ///< port the packet arrived on
+  /// Occupancy of the egress queue this packet joined at the current hop,
+  /// set by Switch::enqueue (the depth it passes to on_enqueue). Valid from
+  /// on_enqueue to on_egress of the same hop, like Tofino's enq_qdepth
+  /// egress intrinsic metadata.
+  std::uint32_t enq_qdepth = 0;
 
   // ---- MARS in-band fields ----
   std::uint32_t path_id = 0;    ///< updated per hop (paper §4.1)
@@ -49,6 +58,14 @@ struct Packet {
   /// another shard whose notification state must not be touched here).
   SwitchId anomaly_reporter = kInvalidSwitch;
   sim::Time anomaly_latency = 0;
+
+  // ---- comparison systems' in-band headers ----
+  /// SpiderMon: cumulative queueing delay over the hops so far (its
+  /// 4-byte per-packet header).
+  sim::Time spidermon_delay = 0;
+  /// IntSight: contention bitmap, one bit per switch id whose hop latency
+  /// exceeded the contention threshold.
+  std::uint64_t intsight_mask = 0;
 
   // ---- ground truth (evaluation only; not visible to MARS logic) ----
   std::vector<SwitchId> true_path;  ///< switches traversed, in order

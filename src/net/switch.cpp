@@ -63,9 +63,10 @@ void Switch::enqueue(Packet&& pkt, PortId out) {
     return;
   }
 
+  const auto depth = static_cast<std::uint32_t>(port.queue.size());
+  pkt.enq_qdepth = depth;
   if (!observers.empty()) {
     SwitchContext ctx{sim, *this, id_, layer_};
-    const auto depth = static_cast<std::uint32_t>(port.queue.size());
     for (auto* obs : observers) obs->on_enqueue(ctx, pkt, out, depth);
   }
   port.queue.push_back(std::move(pkt));

@@ -22,14 +22,6 @@ void IntMdBackend::on_marked(net::SwitchContext& /*ctx*/,
   in_flight_.try_emplace(pkt.id);
 }
 
-void IntMdBackend::on_hop_enqueue(net::SwitchContext& /*ctx*/,
-                                  const net::Packet& pkt, net::PortId /*out*/,
-                                  std::uint32_t queue_depth) {
-  const auto it = in_flight_.find(pkt.id);
-  if (it == in_flight_.end()) return;
-  it->second.pending_queue_depth = queue_depth;
-}
-
 std::uint32_t IntMdBackend::on_hop_egress(net::SwitchContext& ctx,
                                           const net::Packet& pkt,
                                           net::PortId out,
@@ -37,15 +29,18 @@ std::uint32_t IntMdBackend::on_hop_egress(net::SwitchContext& ctx,
   // Every MARS packet still carries the PathID byte; stack-bearing packets
   // add shim + one entry per recorded hop across this link.
   std::uint32_t bytes = pkt.has_path_id ? 1u : 0u;
-  const auto it = in_flight_.find(pkt.id);
+  // Only marked packets can have a stack: on_marked runs after the
+  // pipeline sets the header, and the sink or a drop erases the entry.
+  const auto it =
+      pkt.telemetry ? in_flight_.find(pkt.id) : in_flight_.end();
   if (it != in_flight_.end()) {
-    InFlight& state = it->second;
-    if (state.hops.size() < config_.max_hops) {
-      state.hops.push_back(IntMdHop{ctx.id, pkt.ingress_port, out, hop_latency,
-                                    state.pending_queue_depth});
+    std::vector<IntMdHop>& hops = it->second;
+    if (hops.size() < config_.max_hops) {
+      hops.push_back(IntMdHop{ctx.id, pkt.ingress_port, out, hop_latency,
+                              pkt.enq_qdepth});
     }
     bytes += config_.shim_bytes +
-             static_cast<std::uint32_t>(state.hops.size()) * IntMdHop::kWireBytes;
+             static_cast<std::uint32_t>(hops.size()) * IntMdHop::kWireBytes;
   }
   state_[ctx.id].counters.inband_bytes += bytes;
   return bytes;
@@ -53,7 +48,7 @@ std::uint32_t IntMdBackend::on_hop_egress(net::SwitchContext& ctx,
 
 void IntMdBackend::on_drop(net::SwitchContext& /*ctx*/,
                            const net::Packet& pkt) {
-  in_flight_.erase(pkt.id);
+  if (pkt.telemetry) in_flight_.erase(pkt.id);
 }
 
 void IntMdBackend::on_sink_record(net::SwitchContext& ctx,
@@ -63,7 +58,7 @@ void IntMdBackend::on_sink_record(net::SwitchContext& ctx,
   StoredRecord stored;
   stored.rec = rec;
   if (const auto it = in_flight_.find(pkt.id); it != in_flight_.end()) {
-    stored.hops = std::move(it->second.hops);
+    stored.hops = std::move(it->second);
     // The sink's own (queue-less) hop, as the spec's sink behavior.
     stored.hops.push_back(
         IntMdHop{ctx.id, pkt.ingress_port, net::kHostPort, 0, 0});

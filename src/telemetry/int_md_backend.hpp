@@ -11,6 +11,10 @@
 // differs is the accounted wire format (stack vs fixed header) and the
 // extra hop-level evidence kept at sinks.
 //
+// Only marked telemetry packets (`pkt.telemetry` set) are ever looked up
+// in the in-flight table; every other packet costs its PathID byte and no
+// probe. The hop's queue depth is read from `pkt.enq_qdepth` at egress.
+//
 // Not shard-safe: the in-flight hop stacks are keyed by packet id and
 // written at every hop the packet crosses.
 
@@ -39,8 +43,6 @@ class IntMdBackend final : public TelemetryBackend {
   }
 
   void on_marked(net::SwitchContext& ctx, const net::Packet& pkt) override;
-  void on_hop_enqueue(net::SwitchContext& ctx, const net::Packet& pkt,
-                      net::PortId out, std::uint32_t queue_depth) override;
   [[nodiscard]] std::uint32_t on_hop_egress(net::SwitchContext& ctx,
                                             const net::Packet& pkt,
                                             net::PortId out,
@@ -66,12 +68,10 @@ class IntMdBackend final : public TelemetryBackend {
       net::SwitchId sw) const {
     return state_[sw].ring.snapshot();
   }
+  /// Telemetry packets whose hop stack is still in flight.
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
 
  private:
-  struct InFlight {
-    std::vector<IntMdHop> hops;
-    std::uint32_t pending_queue_depth = 0;
-  };
   struct SwitchSlice {
     util::RingBuffer<StoredRecord> ring;
     BackendCounters counters;
@@ -81,7 +81,8 @@ class IntMdBackend final : public TelemetryBackend {
   IntMdConfig config_;
   std::size_t ring_capacity_;
   std::vector<SwitchSlice> state_;
-  std::unordered_map<std::uint64_t, InFlight> in_flight_;
+  /// Hop stack of each sampled telemetry packet, by packet id.
+  std::unordered_map<std::uint64_t, std::vector<IntMdHop>> in_flight_;
   std::uint64_t sample_counter_ = 0;
 };
 

@@ -45,7 +45,23 @@ constexpr std::array<std::array<std::uint32_t, 256>, 4> make_crc32_slices() {
   return t;
 }
 
-constexpr auto kCrc16Table = make_crc16_table();
+// Slicing-by-4 for the MSB-first CRC-16: kCrc16Slices[k][i] is the CRC of
+// byte i followed by k zero bytes. The PathID hash runs at every hop of
+// every packet, so crc16_words folds a word per step like crc32_words.
+constexpr std::array<std::array<std::uint16_t, 256>, 4> make_crc16_slices() {
+  std::array<std::array<std::uint16_t, 256>, 4> t{};
+  t[0] = make_crc16_table();
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 4; ++k) {
+      t[k][i] = static_cast<std::uint16_t>((t[k - 1][i] << 8) ^
+                                           t[0][t[k - 1][i] >> 8]);
+    }
+  }
+  return t;
+}
+
+constexpr auto kCrc16Slices = make_crc16_slices();
+constexpr const auto& kCrc16Table = kCrc16Slices[0];
 constexpr auto kCrc32Slices = make_crc32_slices();
 constexpr const auto& kCrc32Table = kCrc32Slices[0];
 
@@ -81,22 +97,19 @@ std::uint32_t Crc32::compute(std::span<const std::byte> data) {
   return crc.value();
 }
 
-namespace {
-template <typename Crc>
-void feed_words(Crc& crc, std::span<const std::uint32_t> words) {
-  for (std::uint32_t w : words) {
-    crc.update(static_cast<std::uint8_t>(w & 0xFFu));
-    crc.update(static_cast<std::uint8_t>((w >> 8) & 0xFFu));
-    crc.update(static_cast<std::uint8_t>((w >> 16) & 0xFFu));
-    crc.update(static_cast<std::uint8_t>((w >> 24) & 0xFFu));
-  }
-}
-}  // namespace
-
 std::uint16_t crc16_words(std::span<const std::uint32_t> words) {
-  Crc16 crc;
-  feed_words(crc, words);
-  return crc.value();
+  // Slicing-by-4: the word's little-endian bytes b0..b3 enter in that
+  // order, and the 16-bit state XORs into the first two (high byte into
+  // b0, as the byte-serial update does), so one step is four independent
+  // lookups instead of a four-deep serial chain.
+  std::uint32_t state = 0xFFFFu;
+  for (std::uint32_t w : words) {
+    const std::uint32_t b0 = (state >> 8) ^ (w & 0xFFu);
+    const std::uint32_t b1 = (state & 0xFFu) ^ ((w >> 8) & 0xFFu);
+    state = kCrc16Slices[3][b0] ^ kCrc16Slices[2][b1] ^
+            kCrc16Slices[1][(w >> 16) & 0xFFu] ^ kCrc16Slices[0][w >> 24];
+  }
+  return static_cast<std::uint16_t>(state);
 }
 
 std::uint32_t crc32_words(std::span<const std::uint32_t> words) {

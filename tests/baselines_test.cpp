@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "control/path_registry.hpp"
+#include "dataplane/mars_pipeline.hpp"
 #include "mars/scenario.hpp"
 #include "net/fat_tree.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/int_md_backend.hpp"
 #include "util/rng.hpp"
 
 namespace mars::baselines {
@@ -297,11 +301,17 @@ Replayed replay_both(const std::vector<Op>& ops,
               reference.overheads().diagnosis_bytes);
     EXPECT_EQ(streamed.triggered(), reference.triggered());
   };
+  // One packet object per id, so SpiderMon's in-band delay header builds
+  // up across that packet's hops; a delivered or dropped packet leaves the
+  // network, and its id's next use starts a fresh packet (the reference's
+  // forget()).
+  std::map<std::uint64_t, net::Packet> packets;
   for (const Op& op : ops) {
-    f.sim.schedule_at(op.at, [&f, &streamed, &reference, &compare, &op] {
+    f.sim.schedule_at(op.at, [&f, &streamed, &reference, &compare, &packets,
+                              &op] {
       net::SwitchContext ctx{f.sim, f.net.node(op.sw), op.sw,
                              f.ft.topology.layer(op.sw)};
-      net::Packet pkt;
+      net::Packet& pkt = packets[op.packet];
       pkt.id = op.packet;
       pkt.flow = op.flow;
       switch (op.kind) {
@@ -316,10 +326,12 @@ Replayed replay_both(const std::vector<Op>& ops,
         case Op::Kind::kDeliver:
           streamed.on_deliver(ctx, pkt);
           reference.forget(pkt);
+          packets.erase(op.packet);
           break;
         case Op::Kind::kDrop:
           streamed.on_drop(ctx, pkt, op.port);
           reference.forget(pkt);
+          packets.erase(op.packet);
           break;
         case Op::Kind::kCheck:
           compare();
@@ -441,7 +453,7 @@ TEST(IntSightTest, SloViolationProducesFlowReports) {
   Fixture f;
   IntSightConfig cfg;
   cfg.slo = 2_ms;
-  IntSight is(cfg);
+  IntSight is(f.ft.topology.switch_count(), cfg);
   f.net.add_observer(is);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   net::PortId out = 0;
@@ -461,7 +473,7 @@ TEST(IntSightTest, ContentionBitmapMarksCongestedSwitch) {
   IntSightConfig cfg;
   cfg.slo = 2_ms;
   cfg.contention_threshold = 1_ms;
-  IntSight is(cfg);
+  IntSight is(f.ft.topology.switch_count(), cfg);
   f.net.add_observer(is);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   net::PortId out = 0;
@@ -476,7 +488,7 @@ TEST(IntSightTest, ContentionBitmapMarksCongestedSwitch) {
 
 TEST(IntSightTest, HeaderBytesAreLarge) {
   Fixture f;
-  IntSight is;
+  IntSight is(f.ft.topology.switch_count());
   f.net.add_observer(is);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};  // 5-switch path
   f.traffic(flow, 5, 10, 1_ms);
@@ -541,6 +553,103 @@ TEST(SynDbTest, UnaidedDiagnosisIsEmpty) {
   f.traffic({f.ft.edge[0], f.ft.edge[1]}, 5, 10, 1_ms);
   f.sim.run();
   EXPECT_TRUE(db.diagnose().empty());
+}
+
+/// Registered after every system under test, so it sees each callback
+/// last: records what each hop observed and checks the in-band fields the
+/// systems carry in the packet against it.
+class InBandChecker final : public net::PacketObserver {
+ public:
+  explicit InBandChecker(sim::Time contention_threshold)
+      : contention_threshold_(contention_threshold) {}
+
+  void on_enqueue(net::SwitchContext& /*ctx*/, net::Packet& pkt,
+                  net::PortId /*out*/, std::uint32_t queue_depth) override {
+    hops_[pkt.id].depth = queue_depth;
+  }
+
+  void on_egress(net::SwitchContext& ctx, net::Packet& pkt,
+                 net::PortId /*out*/, sim::Time hop_latency) override {
+    Truth& t = hops_[pkt.id];
+    ++egress_hops;
+    if (pkt.enq_qdepth != t.depth) ++depth_mismatches;
+    if (pkt.enq_qdepth > 0) ++queued_hops;
+    t.delay += hop_latency;
+    if (hop_latency > contention_threshold_ && ctx.id < IntSight::kMaxSwitches) {
+      t.mask |= 1ull << ctx.id;
+    }
+  }
+
+  void on_deliver(net::SwitchContext& /*ctx*/, net::Packet& pkt) override {
+    const Truth t = hops_[pkt.id];
+    hops_.erase(pkt.id);
+    ++delivered;
+    if (t.mask != 0) ++contended;
+    if (pkt.spidermon_delay != t.delay) ++delay_mismatches;
+    if (pkt.intsight_mask != t.mask) ++mask_mismatches;
+  }
+
+  std::uint64_t egress_hops = 0, queued_hops = 0, delivered = 0,
+                contended = 0, depth_mismatches = 0, delay_mismatches = 0,
+                mask_mismatches = 0;
+
+ private:
+  struct Truth {
+    std::uint32_t depth = 0;
+    sim::Time delay = 0;
+    std::uint64_t mask = 0;
+  };
+  sim::Time contention_threshold_;
+  std::map<std::uint64_t, Truth> hops_;
+};
+
+TEST(InBandHeaderTest, CarriedFieldsMatchPerHopObservations) {
+  // All four systems on one fabric, sharing every packet: each in-band
+  // field must hold exactly what its hops observed.
+  Fixture f;
+  const std::size_t n = f.ft.topology.switch_count();
+  SpiderMon sm(n);
+  IntSightConfig is_cfg;
+  IntSight is(n, is_cfg);
+  SynDb db;
+  control::PathRegistry registry{f.ft.topology, f.net.routing(), {}};
+  dataplane::PipelineConfig mars_cfg;
+  mars_cfg.backend.kind = telemetry::BackendKind::kIntMd;
+  dataplane::MarsPipeline mars(n, mars_cfg,
+                               [](const dataplane::Notification&) {});
+  mars.set_control_mat(registry.mat());
+  InBandChecker checker(is_cfg.contention_threshold);
+  for (net::PacketObserver* obs :
+       std::initializer_list<net::PacketObserver*>{&sm, &is, &db, &mars,
+                                                   &checker}) {
+    f.net.add_observer(*obs);
+  }
+
+  // A throttled source port builds a queue well past the contention
+  // threshold (1000 pps offered, 400 served, below the tail-drop cap);
+  // two more flows cross other pods unimpeded.
+  const net::FlowId slow{f.ft.edge[0], f.ft.edge[1]};
+  net::PortId out = 0;
+  ASSERT_TRUE(f.net.routing().select_port(slow.source, slow.sink, 5, out));
+  f.net.node(slow.source).set_max_pps(out, 400.0);
+  f.traffic(slow, 5, 300, 1_ms);
+  f.traffic({f.ft.edge[2], f.ft.edge[5]}, 9, 150, 1_ms);
+  f.traffic({f.ft.edge[6], f.ft.edge[3]}, 13, 150, 1_ms);
+  f.sim.run();
+
+  EXPECT_EQ(checker.delivered, 600u);
+  EXPECT_EQ(checker.depth_mismatches, 0u);
+  EXPECT_EQ(checker.delay_mismatches, 0u);
+  EXPECT_EQ(checker.mask_mismatches, 0u);
+  // Not vacuous: queues built up and some packets crossed contention.
+  EXPECT_GT(checker.queued_hops, 0u);
+  EXPECT_GT(checker.contended, 0u);
+  EXPECT_LT(checker.contended, checker.delivered);
+  EXPECT_TRUE(sm.triggered());
+  const auto* backend =
+      dynamic_cast<const telemetry::IntMdBackend*>(&mars.backend());
+  ASSERT_NE(backend, nullptr);
+  EXPECT_EQ(backend->in_flight(), 0u) << "every stack ends at a sink";
 }
 
 }  // namespace

@@ -46,6 +46,13 @@ TEST(BackendNamesTest, SuggestsCloseMisspellings) {
   EXPECT_EQ(suggest_backend("zzzzzzzzzz"), "");
 }
 
+BackendConfig backend_config(BackendKind kind, IntMdConfig int_md = {}) {
+  BackendConfig backend;
+  backend.kind = kind;
+  backend.int_md = int_md;
+  return backend;
+}
+
 /// A fat-tree with a MarsPipeline wired for one backend kind; traffic
 /// schedules are identical across fixtures, which is what makes the
 /// differential meaningful.
@@ -56,16 +63,17 @@ struct Fixture {
   control::PathRegistry registry{ft.topology, net.routing(), {}};
   dataplane::MarsPipeline pipeline;
 
-  explicit Fixture(BackendKind kind)
-      : pipeline(ft.topology.switch_count(), config_for(kind),
+  explicit Fixture(BackendKind kind) : Fixture(backend_config(kind)) {}
+  explicit Fixture(const BackendConfig& backend)
+      : pipeline(ft.topology.switch_count(), config_for(backend),
                  [](const dataplane::Notification&) {}) {
     pipeline.set_control_mat(registry.mat());
     net.add_observer(pipeline);
   }
 
-  static dataplane::PipelineConfig config_for(BackendKind kind) {
+  static dataplane::PipelineConfig config_for(const BackendConfig& backend) {
     dataplane::PipelineConfig cfg;
-    cfg.backend.kind = kind;
+    cfg.backend = backend;
     return cfg;
   }
 
@@ -166,6 +174,108 @@ TEST(BackendDifferentialTest, InBandByteOrderingAcrossBackends) {
   }
   EXPECT_LT(inband[2], inband[0]) << "histogram must be cheapest in band";
   EXPECT_GT(inband[1], inband[0]) << "int-md must be dearest in band";
+}
+
+// ---- INT-MD backend behaviour ---------------------------------------------
+// Every test paces a flow at one packet per telemetry epoch, so the
+// pipeline marks every packet and each one is eligible for a hop stack.
+
+/// Stored sink records that carry a hop stack (thinned ones carry none).
+std::vector<IntMdBackend::StoredRecord> stacks_at(const Fixture& f,
+                                                  net::SwitchId sink) {
+  const auto& backend = dynamic_cast<const IntMdBackend&>(f.pipeline.backend());
+  std::vector<IntMdBackend::StoredRecord> out;
+  for (auto& s : backend.records_with_hops(sink)) {
+    if (!s.hops.empty()) out.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(IntMdTest, RecordsEveryHopInOrder) {
+  Fixture f(BackendKind::kIntMd);
+  const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};  // 5-switch path
+  f.traffic(flow, 77, 3, kDefaultEpochPeriod);
+  f.sim.run();
+  const auto stored = stacks_at(f, flow.sink);
+  ASSERT_EQ(stored.size(), 3u);
+  for (const auto& s : stored) {
+    ASSERT_EQ(s.hops.size(), 5u);
+    EXPECT_EQ(s.hops.front().sw, flow.source);
+    EXPECT_EQ(s.hops.back().sw, flow.sink);
+    EXPECT_EQ(s.hops.back().out_port, net::kHostPort);
+    for (std::size_t h = 0; h + 1 < s.hops.size(); ++h) {
+      EXPECT_GT(s.hops[h].hop_latency, 0);
+      // Each hop's egress port leads to the next entry's switch and port.
+      const auto& peer = f.ft.topology.peer(s.hops[h].sw, s.hops[h].out_port);
+      EXPECT_EQ(peer.neighbor, s.hops[h + 1].sw);
+      EXPECT_EQ(peer.neighbor_port, s.hops[h + 1].in_port);
+    }
+  }
+}
+
+TEST(IntMdTest, HeaderBytesGrowWithPathLength) {
+  Fixture intra(BackendKind::kIntMd);
+  const net::FlowId short_flow{intra.ft.edge[0], intra.ft.edge[1]};  // 3 sw
+  intra.traffic(short_flow, 5, 10, kDefaultEpochPeriod);
+  intra.sim.run();
+  const auto short_bytes = intra.pipeline.backend().counters().inband_bytes;
+
+  Fixture inter(BackendKind::kIntMd);
+  const net::FlowId long_flow{inter.ft.edge[0], inter.ft.edge[4]};  // 5 sw
+  inter.traffic(long_flow, 5, 10, kDefaultEpochPeriod);
+  inter.sim.run();
+  // Same packet count, longer paths: strictly more in-band bytes — the
+  // Fig. 3 motivation for fixed-width PathIDs.
+  EXPECT_GT(inter.pipeline.backend().counters().inband_bytes, short_bytes);
+  // Exact accounting for the short path: every packet is marked and, per
+  // packet, 2 links carry the PathID byte plus shim + a stack of 1 then 2
+  // entries.
+  ASSERT_EQ(intra.pipeline.overheads().telemetry_packets_marked, 10u);
+  EXPECT_EQ(short_bytes, 10u * ((1 + 12 + 8) + (1 + 12 + 16)));
+}
+
+TEST(IntMdTest, SamplingReducesCoverageAndBytes) {
+  IntMdConfig cfg;
+  cfg.sample_every = 5;
+  Fixture f(backend_config(BackendKind::kIntMd, cfg));
+  const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
+  f.traffic(flow, 5, 50, kDefaultEpochPeriod);
+  f.sim.run();
+  ASSERT_EQ(f.pipeline.overheads().telemetry_packets_marked, 50u);
+  // 1 in 5 marked packets carries a stack; the rest pay the PathID byte.
+  EXPECT_EQ(stacks_at(f, flow.sink).size(), 10u);
+  EXPECT_EQ(f.pipeline.backend().counters().inband_bytes,
+            10u * ((1 + 12 + 8) + (1 + 12 + 16)) + 40u * 2u);
+}
+
+TEST(IntMdTest, MaxHopsCapsTheStack) {
+  IntMdConfig cfg;
+  cfg.max_hops = 2;
+  Fixture f(backend_config(BackendKind::kIntMd, cfg));
+  const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
+  f.traffic(flow, 5, 2, kDefaultEpochPeriod);
+  f.sim.run();
+  const auto stored = stacks_at(f, flow.sink);
+  ASSERT_EQ(stored.size(), 2u);
+  // 2 transit entries + the sink's own entry appended at delivery.
+  for (const auto& s : stored) EXPECT_EQ(s.hops.size(), 3u);
+}
+
+TEST(IntMdTest, DropCleansUpInFlightState) {
+  Fixture f(BackendKind::kIntMd);
+  const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
+  // Drop at the aggregation hop, after the source pushed its entry.
+  net::PortId out = 0;
+  ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
+  const net::SwitchId agg = f.ft.topology.peer(flow.source, out).neighbor;
+  ASSERT_TRUE(f.net.routing().select_port(agg, flow.sink, 5, out));
+  f.net.node(agg).set_drop_probability(out, 1.0);
+  f.traffic(flow, 5, 10, kDefaultEpochPeriod);
+  f.sim.run();
+  const auto& backend = dynamic_cast<const IntMdBackend&>(f.pipeline.backend());
+  EXPECT_EQ(f.pipeline.overheads().telemetry_packets_marked, 10u);
+  EXPECT_TRUE(backend.records_with_hops(flow.sink).empty());
+  EXPECT_EQ(backend.in_flight(), 0u) << "a dropped stack must not linger";
 }
 
 TEST(BackendSuiteTest, AllBackendsRunTheFaultSuite) {

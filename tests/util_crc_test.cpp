@@ -4,8 +4,11 @@
 
 #include <array>
 #include <cstring>
+#include <span>
 #include <string_view>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace mars::util {
 namespace {
@@ -60,6 +63,41 @@ TEST(CrcWordsTest, SensitiveToEveryField) {
     auto mutated = base;
     mutated[i] ^= 1;
     EXPECT_NE(crc32_words(mutated), h) << "word " << i;
+  }
+}
+
+/// Byte-serial reference for the sliced word hashes: each word's four
+/// little-endian bytes, low byte first.
+template <typename Crc>
+auto serial_words(std::span<const std::uint32_t> words) {
+  Crc crc;
+  for (std::uint32_t w : words) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      crc.update(static_cast<std::uint8_t>((w >> shift) & 0xFFu));
+    }
+  }
+  return crc.value();
+}
+
+TEST(CrcWordsTest, SlicedMatchesByteSerial) {
+  // Both word hashes fold a whole word per step through four tables; they
+  // must equal the plain byte-at-a-time CRC on every input. Random
+  // lengths 0-8 cover empty and odd shapes; the 5-word case is the PathID
+  // hop key {path_id, switch, in_port, out_port, control}, drawn both
+  // fully random and in its real small-value range.
+  Rng rng(2024);
+  std::vector<std::uint32_t> words;
+  for (int i = 0; i < 20000; ++i) {
+    const auto len = i % 3 == 0 ? std::size_t{5}
+                                : static_cast<std::size_t>(rng.below(9));
+    words.resize(len);
+    const bool small = i % 6 == 3;
+    for (auto& w : words) {
+      w = small ? static_cast<std::uint32_t>(rng.below(1024))
+                : static_cast<std::uint32_t>(rng());
+    }
+    ASSERT_EQ(crc16_words(words), serial_words<Crc16>(words)) << "input " << i;
+    ASSERT_EQ(crc32_words(words), serial_words<Crc32>(words)) << "input " << i;
   }
 }
 
