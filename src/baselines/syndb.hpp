@@ -14,7 +14,16 @@
 //
 // With full per-switch packet histories the right query localizes almost
 // anything; the price is the bandwidth shown in Fig. 9.
+//
+// Every p-record is charged, but only what a query reads is kept, in
+// columns per switch (see DESIGN.md "SyNDB columnar store"): egress
+// (time, running hop-latency sum) per port, drop times, and the ingress
+// times of the flows the switch sources. A switch's clock never goes
+// back, so appends keep every column time-sorted and a query splits each
+// one at the window start by binary search.
 
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "baselines/baseline.hpp"
@@ -48,16 +57,14 @@ class SynDb final : public BaselineSystem {
   }
   /// Expert-aided diagnosis (the gray cells of Table 1).
   [[nodiscard]] rca::CulpritList diagnose_with_hint(faults::FaultKind hint,
-                                                    sim::Time now);
+                                                    sim::Time now) const;
   [[nodiscard]] OverheadReport overheads() const override;
   [[nodiscard]] bool triggered() const override {
     // Query-based: it "triggers" only when an operator asks.
-    return !records_.empty();
+    return records_ > 0;
   }
 
   // ---- PacketObserver ----
-  /// The egress p-record carries the hop's enqueue depth, read from
-  /// `pkt.enq_qdepth` (egress intrinsic metadata on the switch).
   void on_egress(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
                  sim::Time hop_latency) override;
   void on_ingress(net::SwitchContext& ctx, net::Packet& pkt) override;
@@ -65,25 +72,32 @@ class SynDb final : public BaselineSystem {
                net::PortId out) override;
 
  private:
-  struct PRecord {
-    std::uint64_t packet_id;
-    net::FlowId flow;
-    net::SwitchId sw;
-    net::PortId out_port;
+  /// An egress p-record as the queries read it.
+  struct Egress {
     sim::Time when;
-    sim::Time hop_latency;   ///< set on egress records
-    std::uint32_t queue_depth;
-    enum class Kind : std::uint8_t { kIngress, kEgress, kDrop } kind;
+    /// Hop latencies of this port's column up to and including this one.
+    std::int64_t latency_sum;
+  };
+  /// One switch's time-sorted columns.
+  struct Columns {
+    std::vector<std::vector<Egress>> egress;  ///< indexed by PortId
+    std::vector<sim::Time> drops;
+    /// Ingress times at this switch of the flows it sources, by sink.
+    std::map<net::SwitchId, std::vector<sim::Time>> sourced;
   };
 
+  Columns& columns(net::SwitchId sw);
+
   rca::CulpritList query_latency_per_switch(sim::Time now,
-                                            rca::CauseKind cause);
-  rca::CulpritList query_drop(sim::Time now);
-  rca::CulpritList query_burst(sim::Time now);
-  rca::CulpritList query_ecmp(sim::Time now);
+                                            rca::CauseKind cause) const;
+  rca::CulpritList query_drop(sim::Time now) const;
+  rca::CulpritList query_burst(sim::Time now) const;
+  rca::CulpritList query_ecmp(sim::Time now) const;
+  rca::CulpritList ranked(rca::CulpritList out) const;
 
   SynDbConfig config_;
-  std::vector<PRecord> records_;
+  std::vector<Columns> switches_;  ///< indexed by SwitchId
+  std::uint64_t records_ = 0;      ///< every p-record, stored or not
 };
 
 }  // namespace mars::baselines

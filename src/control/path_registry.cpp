@@ -26,6 +26,10 @@ using Hop = RegisteredPath::Hop;
   return static_cast<std::size_t>(entry & 0xFFFFFFFFu);
 }
 
+/// Fewest source edge switches per build thread when the thread count is
+/// chosen automatically.
+constexpr std::size_t kRootsPerThread = 16;
+
 /// Run fn(i) for i in [0, n): on the pool when there is one.
 template <typename Fn>
 void for_each_index(parallel::ThreadPool* pool, std::size_t n, Fn&& fn) {
@@ -44,7 +48,14 @@ PathRegistry::PathRegistry(const net::Topology& topology,
     : topology_(&topology), config_(config) {
   const auto start = std::chrono::steady_clock::now();
   if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
+    // Hardware concurrency, but no more threads than the source-edge roots
+    // can keep busy: a small fabric (k=4: 8 roots) builds inline instead
+    // of paying for a pool it cannot use.
+    const std::size_t roots =
+        topology.switches_in_layer(net::Layer::kEdge).size();
+    const std::size_t hardware =
+        std::max(1u, std::thread::hardware_concurrency());
+    threads = std::clamp<std::size_t>(roots / kRootsPerThread, 1, hardware);
   }
   std::unique_ptr<parallel::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);

@@ -84,7 +84,8 @@ class PathRegistry {
   /// Enumerates all shortest edge-to-edge paths and resolves conflicts.
   /// `threads`: 1 = sequential (the default, and the reference the
   /// parallel build must reproduce bit-for-bit), 0 = hardware
-  /// concurrency, N = a private N-thread pool for the build only.
+  /// concurrency capped at one thread per 16 source edge switches (so
+  /// k=4 builds inline), N = a private N-thread pool for the build only.
   PathRegistry(const net::Topology& topology, const net::RoutingTable& routing,
                telemetry::PathIdConfig config, std::size_t threads = 1);
 

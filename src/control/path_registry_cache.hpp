@@ -34,8 +34,8 @@ class PathRegistryCache {
   static PathRegistryCache& instance();
 
   /// Return the cached registry for (topology structure, config), building
-  /// it on first use. `threads` only affects a cache miss: 0 = hardware
-  /// concurrency for the build (the result is bit-identical either way —
+  /// it on first use. `threads` only affects a cache miss: 0 = the
+  /// constructor's automatic count (the result is bit-identical either way —
   /// see PathRegistry's determinism contract, which is what makes the
   /// cache sound). Concurrent first builds of the same key serialize.
   std::shared_ptr<const PathRegistry> get_or_build(

@@ -555,6 +555,354 @@ TEST(SynDbTest, UnaidedDiagnosisIsEmpty) {
   EXPECT_TRUE(db.diagnose().empty());
 }
 
+// ---- SyNDB: the columnar store against a flat p-record log --------------
+
+/// Reference SyNDB: one p-record per callback in a flat log, and every
+/// query rescans the whole log through std::maps. Same queries, window and
+/// ranking as SynDb; the columnar store must agree with it exactly.
+class RecordLogSynDb {
+ public:
+  explicit RecordLogSynDb(SynDbConfig config) : config_(config) {}
+
+  void on_ingress(net::SwitchContext& ctx, const net::Packet& pkt) {
+    records_.push_back(
+        {pkt.flow, ctx.id, 0, ctx.sim.now(), 0, PRecord::Kind::kIngress});
+  }
+  void on_egress(net::SwitchContext& ctx, const net::Packet& pkt,
+                 net::PortId out, sim::Time hop_latency) {
+    records_.push_back({pkt.flow, ctx.id, out, ctx.sim.now(), hop_latency,
+                        PRecord::Kind::kEgress});
+  }
+  void on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
+               net::PortId out) {
+    records_.push_back(
+        {pkt.flow, ctx.id, out, ctx.sim.now(), 0, PRecord::Kind::kDrop});
+  }
+
+  [[nodiscard]] rca::CulpritList diagnose_with_hint(faults::FaultKind hint,
+                                                    sim::Time now) const {
+    switch (hint) {
+      case faults::FaultKind::kMicroBurst:
+        return query_burst(now);
+      case faults::FaultKind::kEcmpImbalance:
+        return query_ecmp(now);
+      case faults::FaultKind::kProcessRateDecrease:
+        return query_latency(now, rca::CauseKind::kProcessRateDecrease);
+      case faults::FaultKind::kDelay:
+        return query_latency(now, rca::CauseKind::kDelay);
+      case faults::FaultKind::kDrop:
+        return query_drop(now);
+      default:
+        ADD_FAILURE() << "hint outside the four query families";
+        return {};
+    }
+  }
+
+  [[nodiscard]] OverheadReport overheads() const {
+    OverheadReport report;
+    report.diagnosis_bytes = records_.size() * config_.record_bytes;
+    return report;
+  }
+  [[nodiscard]] bool triggered() const { return !records_.empty(); }
+
+ private:
+  struct PRecord {
+    net::FlowId flow;
+    net::SwitchId sw;
+    net::PortId out_port;
+    sim::Time when;
+    sim::Time hop_latency;
+    enum class Kind { kIngress, kEgress, kDrop } kind;
+  };
+
+  static rca::Culprit at_switch(net::SwitchId id, rca::CauseKind cause,
+                                double score) {
+    rca::Culprit c;
+    c.level = rca::CulpritLevel::kSwitch;
+    c.location = {id};
+    c.cause = cause;
+    c.score = score;
+    return c;
+  }
+
+  [[nodiscard]] rca::CulpritList ranked(rca::CulpritList out) const {
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.score > b.score; });
+    if (out.size() > config_.max_culprits) out.resize(config_.max_culprits);
+    return out;
+  }
+
+  [[nodiscard]] rca::CulpritList query_latency(sim::Time now,
+                                               rca::CauseKind cause) const {
+    struct Acc {
+      double base_sum = 0, prob_sum = 0;
+      std::uint64_t base_n = 0, prob_n = 0;
+    };
+    std::map<net::SwitchId, Acc> acc;
+    const sim::Time from = now - config_.window;
+    for (const auto& r : records_) {
+      if (r.kind != PRecord::Kind::kEgress) continue;
+      Acc& a = acc[r.sw];
+      if (r.when >= from) {
+        a.prob_sum += static_cast<double>(r.hop_latency);
+        ++a.prob_n;
+      } else {
+        a.base_sum += static_cast<double>(r.hop_latency);
+        ++a.base_n;
+      }
+    }
+    rca::CulpritList out;
+    for (const auto& [id, a] : acc) {
+      if (a.prob_n == 0) continue;
+      const double prob = a.prob_sum / static_cast<double>(a.prob_n);
+      const double base =
+          a.base_n > 0 ? a.base_sum / static_cast<double>(a.base_n) : 1.0;
+      out.push_back(at_switch(id, cause, prob / std::max(base, 1.0)));
+    }
+    return ranked(std::move(out));
+  }
+
+  [[nodiscard]] rca::CulpritList query_drop(sim::Time now) const {
+    std::map<net::SwitchId, std::uint64_t> drops;
+    const sim::Time from = now - config_.window;
+    for (const auto& r : records_) {
+      if (r.kind == PRecord::Kind::kDrop && r.when >= from) ++drops[r.sw];
+    }
+    rca::CulpritList out;
+    for (const auto& [id, n] : drops) {
+      out.push_back(
+          at_switch(id, rca::CauseKind::kDrop, static_cast<double>(n)));
+    }
+    return ranked(std::move(out));
+  }
+
+  [[nodiscard]] rca::CulpritList query_burst(sim::Time now) const {
+    struct Acc {
+      std::uint64_t base = 0, prob = 0;
+    };
+    std::map<net::FlowId, Acc> acc;
+    const sim::Time from = now - config_.window;
+    sim::Time earliest = now;
+    for (const auto& r : records_) {
+      if (r.kind != PRecord::Kind::kIngress || r.flow.source != r.sw) continue;
+      earliest = std::min(earliest, r.when);
+      ++(r.when >= from ? acc[r.flow].prob : acc[r.flow].base);
+    }
+    const double base_seconds =
+        std::max(sim::to_seconds(from - earliest), 1e-3);
+    const double prob_seconds =
+        std::max(sim::to_seconds(config_.window), 1e-3);
+    rca::CulpritList out;
+    for (const auto& [f, a] : acc) {
+      const double base_pps = static_cast<double>(a.base) / base_seconds;
+      const double prob_pps = static_cast<double>(a.prob) / prob_seconds;
+      out.push_back(
+          flow(f.source, f.sink, prob_pps / std::max(base_pps, 1.0)));
+    }
+    return ranked(std::move(out));
+  }
+
+  [[nodiscard]] rca::CulpritList query_ecmp(sim::Time now) const {
+    using Counts = std::map<net::PortId, std::uint64_t>;
+    std::map<net::SwitchId, std::pair<Counts, Counts>> acc;  // base, prob
+    const sim::Time from = now - config_.window;
+    for (const auto& r : records_) {
+      if (r.kind != PRecord::Kind::kEgress) continue;
+      auto& [base, prob] = acc[r.sw];
+      ++(r.when >= from ? prob : base)[r.out_port];
+    }
+    const auto imbalance = [](const Counts& counts) {
+      if (counts.size() < 2) return 1.0;
+      std::uint64_t lo = UINT64_MAX, hi = 0;
+      for (const auto& [port, n] : counts) {
+        lo = std::min(lo, n);
+        hi = std::max(hi, n);
+      }
+      return static_cast<double>(hi) /
+             static_cast<double>(std::max<std::uint64_t>(lo, 1));
+    };
+    rca::CulpritList out;
+    for (const auto& [id, sides] : acc) {
+      const double score =
+          imbalance(sides.second) / std::max(imbalance(sides.first), 1.0);
+      out.push_back(at_switch(id, rca::CauseKind::kEcmpImbalance, score));
+    }
+    return ranked(std::move(out));
+  }
+
+  SynDbConfig config_;
+  std::vector<PRecord> records_;
+};
+
+/// One SyNDB observer callback, or a query of both implementations at
+/// `query_now` (which may lie before or after the op's own time).
+struct RecordOp {
+  enum class Kind { kIngress, kEgress, kDrop, kQuery };
+  Kind kind;
+  sim::Time at;
+  net::SwitchId sw = 0;
+  net::PortId port = 0;
+  net::FlowId flow{};
+  sim::Time latency = 0;
+  sim::Time query_now = 0;
+};
+
+constexpr faults::FaultKind kQueryHints[] = {
+    faults::FaultKind::kMicroBurst, faults::FaultKind::kEcmpImbalance,
+    faults::FaultKind::kProcessRateDecrease, faults::FaultKind::kDelay,
+    faults::FaultKind::kDrop};
+
+/// What a SynDb replay saw: how many query results were non-empty (so a
+/// sweep can show it was not vacuous), and SynDb's answers to each of
+/// kQueryHints at the last comparison.
+struct SynDbReplayed {
+  int nonempty = 0;
+  std::vector<rca::CulpritList> last;
+};
+
+/// Replays `ops` into SynDb and the record log side by side; at every
+/// kQuery, and at the end at the last op's time, compares all four
+/// queries, overheads() and triggered().
+SynDbReplayed replay_syndb(const std::vector<RecordOp>& ops,
+                           const SynDbConfig& config) {
+  Fixture f;
+  SynDb columnar(config);
+  RecordLogSynDb reference(config);
+  SynDbReplayed replayed;
+  const auto compare = [&](sim::Time now) {
+    replayed.last.clear();
+    for (const faults::FaultKind hint : kQueryHints) {
+      SCOPED_TRACE(std::string(faults::to_string(hint)) + " at " +
+                   std::to_string(now));
+      replayed.last.push_back(columnar.diagnose_with_hint(hint, now));
+      expect_same_culprits(replayed.last.back(),
+                           reference.diagnose_with_hint(hint, now));
+      if (!replayed.last.back().empty()) ++replayed.nonempty;
+    }
+    EXPECT_EQ(columnar.overheads().telemetry_bytes, 0u);
+    EXPECT_EQ(columnar.overheads().diagnosis_bytes,
+              reference.overheads().diagnosis_bytes);
+    EXPECT_EQ(columnar.triggered(), reference.triggered());
+  };
+  for (const RecordOp& op : ops) {
+    f.sim.schedule_at(op.at, [&f, &columnar, &reference, &compare, &op] {
+      net::SwitchContext ctx{f.sim, f.net.node(op.sw), op.sw,
+                             f.ft.topology.layer(op.sw)};
+      net::Packet pkt;
+      pkt.flow = op.flow;
+      switch (op.kind) {
+        case RecordOp::Kind::kIngress:
+          columnar.on_ingress(ctx, pkt);
+          reference.on_ingress(ctx, pkt);
+          break;
+        case RecordOp::Kind::kEgress:
+          columnar.on_egress(ctx, pkt, op.port, op.latency);
+          reference.on_egress(ctx, pkt, op.port, op.latency);
+          break;
+        case RecordOp::Kind::kDrop:
+          columnar.on_drop(ctx, pkt, op.port);
+          reference.on_drop(ctx, pkt, op.port);
+          break;
+        case RecordOp::Kind::kQuery:
+          compare(op.query_now);
+          break;
+      }
+    });
+  }
+  f.sim.run();
+  compare(f.sim.now());
+  return replayed;
+}
+
+TEST(SynDbDifferentialTest, RandomSequencesMatchRecordLog) {
+  int nonempty = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    SynDbConfig config;
+    // Whole milliseconds, like every timestamp below, so window starts
+    // land exactly on records.
+    config.window = rng.range(1, 30) * sim::kMillisecond;
+    config.max_culprits = rng.range(1, 12);
+    std::vector<RecordOp> ops;
+    sim::Time now = 0;
+    for (int i = 0; i < 1200; ++i) {
+      if (rng.chance(0.4)) now += rng.range(0, 2) * sim::kMillisecond;
+      RecordOp op{.kind = RecordOp::Kind::kQuery, .at = now};
+      op.flow = {static_cast<net::SwitchId>(rng.below(6)),
+                 static_cast<net::SwitchId>(rng.below(6))};
+      // Half the ingress records are at the flow's source.
+      op.sw = rng.chance(0.5) ? op.flow.source
+                              : static_cast<net::SwitchId>(rng.below(8));
+      op.port = static_cast<net::PortId>(rng.below(4));
+      // Few distinct latencies and counts: tied scores are common.
+      op.latency = rng.range(0, 3) * sim::kMillisecond;
+      // Queries reach back before the newest record and a little past it.
+      op.query_now = now + rng.range(-40, 5) * sim::kMillisecond;
+      const double u = rng.uniform();
+      op.kind = u < 0.40   ? RecordOp::Kind::kIngress
+                : u < 0.85 ? RecordOp::Kind::kEgress
+                : u < 0.97 ? RecordOp::Kind::kDrop
+                           : RecordOp::Kind::kQuery;
+      ops.push_back(op);
+    }
+    nonempty += replay_syndb(ops, config).nonempty;
+  }
+  EXPECT_GT(nonempty, 500);
+}
+
+RecordOp record(RecordOp::Kind kind, sim::Time at, net::SwitchId sw,
+                net::PortId port = 0, sim::Time latency = 0) {
+  return RecordOp{.kind = kind, .at = at, .sw = sw, .port = port,
+                  .flow = {sw, 7}, .latency = latency};
+}
+
+RecordOp query_at(sim::Time at, sim::Time now) {
+  return RecordOp{.kind = RecordOp::Kind::kQuery, .at = at, .query_now = now};
+}
+
+TEST(SynDbDifferentialTest, RecordExactlyAtWindowStartIsInTheWindow) {
+  using K = RecordOp::Kind;
+  SynDbConfig config;
+  config.window = 10_ms;
+  // Switch 1's records sit 1 ns before `from` = 5 ms, switch 2's exactly
+  // at it; the query is at 15 ms.
+  const std::vector<RecordOp> ops = {
+      record(K::kIngress, 4'999'999, 1), record(K::kEgress, 4'999'999, 1, 0, 3),
+      record(K::kDrop, 4'999'999, 1),    record(K::kIngress, 5_ms, 2),
+      record(K::kEgress, 5_ms, 2, 1, 3), record(K::kDrop, 5_ms, 2),
+      record(K::kEgress, 6_ms, 1, 1, 2), query_at(15_ms, 15_ms)};
+  const SynDbReplayed r = replay_syndb(ops, config);
+  ASSERT_EQ(r.last.size(), std::size(kQueryHints));
+  const rca::CulpritList& burst = r.last[0];
+  const rca::CulpritList& drops = r.last[4];
+  ASSERT_EQ(burst.size(), 2u);
+  EXPECT_EQ(burst[0].flow, (net::FlowId{2, 7}));  // in the window
+  EXPECT_EQ(burst[0].score, 100.0);  // 1 packet / 10 ms vs no baseline
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].location, std::vector<net::SwitchId>{2});
+}
+
+TEST(SynDbDifferentialTest, QueryBeforeTheLastRecordAndEmptySides) {
+  using K = RecordOp::Kind;
+  SynDbConfig config;
+  config.window = 4_ms;
+  std::vector<RecordOp> ops;
+  for (int t = 0; t < 20; ++t) {
+    const sim::Time at = t * 1_ms;
+    const auto sw = static_cast<net::SwitchId>(t % 3);
+    ops.push_back(record(K::kIngress, at, sw));
+    ops.push_back(record(K::kEgress, at, sw, t % 2, (t % 4) * 1_ms));
+    if (t % 5 == 0) ops.push_back(record(K::kDrop, at, sw));
+  }
+  // The whole log in the window (empty baselines), a window that ends
+  // mid-log, and one past every record (empty problem sides).
+  for (const sim::Time now : {2_ms, 3_ms, 11_ms, 19_ms, 40_ms}) {
+    ops.push_back(query_at(19_ms, now));
+  }
+  EXPECT_GT(replay_syndb(ops, config).nonempty, 0);
+}
+
 /// Registered after every system under test, so it sees each callback
 /// last: records what each hop observed and checks the in-band fields the
 /// systems carry in the packet against it.

@@ -98,7 +98,21 @@ TEST(PathRegistryParallelTest, ThreadsZeroMeansHardwareConcurrency) {
   const PathRegistry seq(ft.topology, routing, cfg, 1);
   const PathRegistry autod(ft.topology, routing, cfg, 0);
   EXPECT_TRUE(same_registry(seq, autod));
-  EXPECT_GE(autod.audit().build_threads, 1u);
+  // Eight source edge switches are too few roots to share: built inline.
+  EXPECT_EQ(autod.audit().build_threads, 1u);
+}
+
+TEST(PathRegistryParallelTest, AutoThreadsFollowTheRootCount) {
+  // 64 leaves are 64 root tasks: one thread per 16, up to the hardware.
+  const net::LeafSpine ls = net::build_leaf_spine({.leaves = 64, .spines = 2});
+  const net::RoutingTable routing{ls.topology};
+  const telemetry::PathIdConfig cfg{telemetry::HashKind::kCrc16, 16};
+  const PathRegistry seq(ls.topology, routing, cfg, 1);
+  const PathRegistry autod(ls.topology, routing, cfg, 0);
+  EXPECT_TRUE(same_registry(seq, autod));
+  const std::size_t hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(autod.audit().build_threads, std::min<std::size_t>(4, hardware));
 }
 
 TEST(PathRegistryCacheTest, HitReturnsSameRegistryAsColdBuild) {

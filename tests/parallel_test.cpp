@@ -260,6 +260,35 @@ TEST(ParallelEpochsTest, SingleWorkerPoolStillCompletes) {
   for (const auto count : per_lane) EXPECT_EQ(count, 3u);
 }
 
+TEST(ParallelEpochsTest, LoneLaneRunsOnCallingThread) {
+  ThreadPool pool(4);
+  std::set<std::thread::id> runners;
+  pool.run_epochs(
+      1,
+      [&](std::size_t, std::uint64_t) {
+        runners.insert(std::this_thread::get_id());
+      },
+      [](std::uint64_t e) { return e + 1 < 20; });
+  EXPECT_EQ(runners, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(ParallelEpochsTest, CallerOwnsALaneOnAFullPool) {
+  // As many workers as lanes: one worker sits out, and the caller (the
+  // last party) runs the last lane instead of idling at the barrier.
+  constexpr std::size_t kLanes = 4;
+  ThreadPool pool(kLanes);
+  std::vector<std::thread::id> owner(kLanes);
+  pool.run_epochs(
+      kLanes,
+      [&](std::size_t lane, std::uint64_t) {
+        owner[lane] = std::this_thread::get_id();
+      },
+      [](std::uint64_t e) { return e + 1 < 50; });
+  EXPECT_EQ(owner.back(), std::this_thread::get_id());
+  EXPECT_EQ(std::set<std::thread::id>(owner.begin(), owner.end()).size(),
+            kLanes);
+}
+
 TEST(ParallelEpochsTest, ZeroLanesIsNoop) {
   ThreadPool pool(2);
   bool control_ran = false;
